@@ -17,13 +17,11 @@ from .core import (
     snapshot,
 )
 from .errors import EvalFault
-
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
+from .heap import INT64_MAX, INT64_MIN
 
 
 def _check_int64(v):
-    if not (_INT64_MIN <= v <= _INT64_MAX):
+    if not (INT64_MIN <= v <= INT64_MAX):
         raise EvalFault("int64-overflow", f"{v} does not fit in a signed 64-bit integer")
     return v
 

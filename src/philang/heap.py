@@ -1,19 +1,44 @@
 """Simulated random-access memory.
 
-One flat byte array per program instance. malloc hands out first-fit
-segments; absolute addresses (the ones a program mentions literally, like
-0x1A76EC09) are mapped through translation windows claimed from the same
-array, so a pointer into the billions works without a billion-byte buffer.
-Pointer arithmetic is scaled by the pointed-to size and happens in the
-simulated address space.
+One flat byte array per program instance, allocated by the first claim on
+it, so a program that never touches the heap never pays for the buffer.
+`malloc` hands out first-fit segments of the malloc range [0, capacity).
+Freed space is reused first-fit at once, so the base a request gets (which a
+program can see) depends only on the sequence of calls. Absolute addresses
+(the ones a program mentions literally, like 0x1A76EC09) are mapped through
+translation windows whose bytes are claimed from the same array, so a
+pointer into the billions works without a billion-byte buffer. Windows never
+overlap each other or the malloc range, so every simulated address names at
+most one byte of the array; an access may run on from one window into a
+window that starts where it ends. Pointer arithmetic is scaled by the
+pointed-to size and happens in the simulated address space.
+
+Two sorted indexes, kept current by every claim and free, spare `malloc` and
+address translation from rescanning every block (Wilson et al., "Dynamic
+Storage Allocation: A Survey and Critical Review", 1995):
+
+- the holes index: the free runs [start, end) of the array, coalesced, in
+  address order. `malloc` carves from the first hole that fits; `free`
+  merges the block back into its neighbours. An upper bound on the largest
+  hole below the last one lets a request that fits none of them go straight
+  to the last;
+- the live-block index: the bases of live blocks in address order, so an
+  address finds the one block that can contain it by bisection. Windows are
+  looked up the same way, by simulated start.
+
+Only a faulting access walks the allocation history, to tell a freed block
+from memory that was never allocated.
 """
+
+from bisect import bisect_left, bisect_right
+from operator import attrgetter
 
 from .errors import EvalFault
 
 WINDOW_SIZE = 4096
 
-_INT64_MIN = -(1 << 63)
-_INT64_MAX = (1 << 63) - 1
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
 
 
 class Allocation:
@@ -35,44 +60,81 @@ class Window:
         self.size = size
         self.base = base
 
-    def covers(self, addr):
-        return self.start <= addr < self.start + self.size
-
 
 class HeapStore:
     def __init__(self, capacity=1 << 20):
         if capacity < 16:
             raise EvalFault("heap-config", "heap capacity must be at least 16 bytes")
         self.capacity = capacity
-        self.bytes = bytearray(capacity)
-        self.allocations = []
-        self.windows = []
+        self.bytes = None  # bytearray(capacity), made by the first claim
+        self.allocations = []  # every block ever allocated, freed ones included
+        self.windows = []  # by simulated start
+        # holes index: free array runs [start, end), coalesced, by address
+        self._hole_starts = [0]
+        self._hole_ends = [capacity]
+        self._low_max = 0  # >= the size of every hole but the last
+        # live-block index: bases and ends of live blocks, by address
+        self._live_bases = []
+        self._live_ends = []
 
     # -- allocation ---------------------------------------------------------
 
-    def _gaps(self):
-        taken = sorted(
-            [(a.base, a.size) for a in self.allocations if a.alive]
-            + [(w.base, w.size) for w in self.windows]
-        )
-        cursor = 0
-        for base, size in taken:
-            if base > cursor:
-                yield (cursor, base - cursor)
-            cursor = max(cursor, base + size)
-        if cursor < self.capacity:
-            yield (cursor, self.capacity - cursor)
-
     def _claim(self, size):
-        for base, room in self._gaps():
-            if room >= size:
-                return base
-        raise EvalFault("out-of-capacity", f"cannot claim {size} bytes of heap")
+        """Carve `size` bytes from the first hole that fits; return the base."""
+        starts, ends = self._hole_starts, self._hole_ends
+        last = len(starts) - 1
+        i = last
+        if size <= self._low_max:
+            largest = 0
+            for j in range(last):
+                room = ends[j] - starts[j]
+                if room >= size:
+                    i = j
+                    break
+                if room > largest:
+                    largest = room
+            else:
+                self._low_max = largest
+        if i < 0 or ends[i] - starts[i] < size:
+            raise EvalFault("out-of-capacity", f"cannot claim {size} bytes of heap")
+        if self.bytes is None:
+            self.bytes = bytearray(self.capacity)
+        base = starts[i]
+        if ends[i] - base == size:
+            del starts[i], ends[i]
+        else:
+            starts[i] = base + size
+        return base
+
+    def _release(self, start, end):
+        """Return [start, end) to the holes index, merged with its neighbours."""
+        starts, ends = self._hole_starts, self._hole_ends
+        i = bisect_right(starts, start)
+        if i and ends[i - 1] == start:
+            i -= 1
+            if i + 1 < len(starts) and starts[i + 1] == end:
+                ends[i] = ends[i + 1]
+                del starts[i + 1], ends[i + 1]
+            else:
+                ends[i] = end
+        elif i < len(starts) and starts[i] == end:
+            starts[i] = start
+        else:
+            starts.insert(i, start)
+            ends.insert(i, end)
+        # the bound covers the hole at i, unless that is now the last hole;
+        # then it covers the one at i - 1, which may have been the last
+        low = i if i < len(starts) - 1 else i - 1
+        if low >= 0:
+            self._low_max = max(self._low_max, ends[low] - starts[low])
 
     def malloc(self, size):
         if not isinstance(size, int) or size <= 0:
             raise EvalFault("bad-malloc", f"malloc needs a positive byte count, got {size!r}")
         base = self._claim(size)
+        i = bisect_right(self._live_bases, base)
+        self._live_bases.insert(i, base)
+        self._live_ends.insert(i, base + size)
         alloc = Allocation(base, size)
         self.allocations.append(alloc)
         return alloc
@@ -81,55 +143,75 @@ class HeapStore:
         if not alloc.alive:
             raise EvalFault("double-free", f"allocation at {alloc.base} was already freed")
         alloc.alive = False
+        i = bisect_left(self._live_bases, alloc.base)
+        del self._live_bases[i], self._live_ends[i]
+        self._release(alloc.base, alloc.base + alloc.size)
 
     # -- address translation ------------------------------------------------
 
     def window_for(self, addr, create=True):
-        for w in self.windows:
-            if w.covers(addr):
-                return w
-        if not create:
+        """The window covering simulated `addr`. With `create`, an address
+        above the malloc range that no window covers gets a new one, placed
+        around it in the gap between its neighbours: WINDOW_SIZE bytes, or
+        the whole gap when that is narrower."""
+        i = bisect_right(self.windows, addr, key=attrgetter("start")) - 1
+        if i >= 0 and addr < self.windows[i].start + self.windows[i].size:
+            return self.windows[i]
+        if not create or addr < self.capacity:
             return None
-        start = max(0, addr - WINDOW_SIZE // 2)
-        base = self._claim(WINDOW_SIZE)
-        w = Window(start, WINDOW_SIZE, base)
-        self.windows.append(w)
+        lo = self.windows[i].start + self.windows[i].size if i >= 0 else self.capacity
+        # with no window above, addr + WINDOW_SIZE is a limit that never binds
+        hi = self.windows[i + 1].start if i + 1 < len(self.windows) else addr + WINDOW_SIZE
+        start = max(lo, min(addr - WINDOW_SIZE // 2, hi - WINDOW_SIZE))
+        w = Window(start, min(WINDOW_SIZE, hi - start), self._claim(WINDOW_SIZE))
+        self.windows.insert(i + 1, w)
         return w
 
     def ensure_mapped(self, addr):
         """Register an absolute address the program mentioned explicitly."""
-        if 0 <= addr < self.capacity:
-            return
-        self.window_for(addr, create=True)
+        if addr >= self.capacity:
+            self.window_for(addr, create=True)
 
     def _translate(self, addr, length):
-        for w in self.windows:
-            if w.covers(addr):
-                if addr + length > w.start + w.size:
-                    raise EvalFault(
-                        "out-of-bounds",
-                        f"access of {length} bytes at {addr} leaves its address window",
-                    )
-                return w.base + (addr - w.start)
-        if 0 <= addr and addr + length <= self.capacity:
-            for a in self.allocations:
-                if a.alive and a.base <= addr and addr + length <= a.base + a.size:
-                    return addr
+        """The array runs (offset, count) that simulated [addr, addr+length)
+        maps onto, in address order."""
+        end = addr + length
+        if 0 <= addr and end <= self.capacity:
+            i = bisect_right(self._live_bases, addr) - 1
+            if i >= 0 and end <= self._live_ends[i]:
+                return ((addr, length),)
             for a in self.allocations:
                 if not a.alive and a.base <= addr < a.base + a.size:
                     raise EvalFault("freed-access", f"access at {addr} hits a freed allocation")
             raise EvalFault("unmapped-address", f"address {addr} lies outside any live allocation")
-        raise EvalFault("unmapped-address", f"address {addr} is not mapped into the heap")
+        runs = []
+        at = addr
+        while True:
+            w = self.window_for(at, create=False)
+            if w is None:
+                if runs:
+                    raise EvalFault(
+                        "out-of-bounds",
+                        f"access of {length} bytes at {addr} leaves its address window",
+                    )
+                raise EvalFault("unmapped-address", f"address {addr} is not mapped into the heap")
+            n = min(end, w.start + w.size) - at
+            runs.append((w.base + at - w.start, n))
+            at += n
+            if at >= end:
+                return runs
 
     # -- raw access ---------------------------------------------------------
 
     def read(self, addr, length):
-        off = self._translate(addr, length)
-        return bytes(self.bytes[off : off + length])
+        mem = self.bytes
+        return b"".join([mem[off : off + n] for off, n in self._translate(addr, length)])
 
     def write(self, addr, data):
-        off = self._translate(addr, len(data))
-        self.bytes[off : off + len(data)] = data
+        mem, pos = self.bytes, 0
+        for off, n in self._translate(addr, len(data)):
+            mem[off : off + n] = data[pos : pos + n]
+            pos += n
 
 
 class PointerValue:
@@ -195,7 +277,7 @@ def block_write(view, value):
             raise EvalFault(
                 "bad-write", f"an integer needs an 8-byte block, this one has {view.length}"
             )
-        if not (_INT64_MIN <= value <= _INT64_MAX):
+        if not (INT64_MIN <= value <= INT64_MAX):
             raise EvalFault("int64-overflow", f"{value} does not fit in a signed 64-bit cell")
         data = value.to_bytes(8, "little", signed=True)
     elif isinstance(value, str):

@@ -205,6 +205,94 @@ def test_window_and_malloc_share_capacity():
         store.malloc(1 << 12)
 
 
+def test_windows_do_not_overlap_each_other():
+    store = HeapStore(1 << 20)
+    store.ensure_mapped(2_000_000)
+    store.ensure_mapped(1_996_000)  # its window is shifted down to end where the first starts
+    spans = [(w.start, w.start + w.size) for w in store.windows]
+    assert all(end <= start for (_, end), (start, _) in zip(spans, spans[1:]))
+    assert any(start <= 1_996_000 < end for start, end in spans)
+    store.write(1_997_948, bytes(range(1, 9)))  # runs on from one window into the next
+    assert store.read(1_997_952, 4) == b"\x05\x06\x07\x08"
+    assert store.read(1_997_948, 8) == bytes(range(1, 9))
+
+
+def test_window_does_not_shadow_the_malloc_range():
+    store = HeapStore(16384)
+    store.malloc(8192)
+    store.ensure_mapped(16484)
+    b = store.malloc(4096)
+    assert [(w.start, w.size) for w in store.windows] == [(16384, 4096)]
+    store.write(14432, bytes(range(1, 9)))
+    assert store.read(14436, 4) == b"\x05\x06\x07\x08"
+    store.free(b)
+    with pytest.raises(EvalFault) as e:
+        store.read(15000, 8)
+    assert e.value.kind == "freed-access"
+
+
+def test_window_fills_a_gap_narrower_than_its_size():
+    store = HeapStore(1 << 14)
+    store.ensure_mapped(100_000)  # [97_952, 102_048)
+    store.ensure_mapped(105_000)  # [102_952, 107_048)
+    store.ensure_mapped(102_500)  # only the 904 bytes between them are free
+    assert [(w.start, w.size) for w in store.windows] == [
+        (97_952, 4096), (102_048, 904), (102_952, 4096)]
+    store.write(102_040, bytes(range(16)))
+    assert store.read(102_040, 16) == bytes(range(16))
+
+
+def test_access_leaving_a_window_for_unmapped_space():
+    store = HeapStore(1 << 20)
+    store.ensure_mapped(0x1A76EC09)
+    (w,) = store.windows
+    with pytest.raises(EvalFault) as e:
+        store.read(w.start + w.size - 4, 8)
+    assert e.value.kind == "out-of-bounds"
+
+
+def test_freed_neighbours_coalesce_into_one_hole():
+    store = HeapStore(64)
+    a, b, c = store.malloc(16), store.malloc(16), store.malloc(16)
+    store.malloc(16)
+    store.free(a)
+    store.free(c)
+    store.free(b)  # joins a and c into one 48-byte hole at the bottom
+    assert store.malloc(48).base == 0
+
+
+def test_first_fit_reuses_freed_space_at_once():
+    store = HeapStore(256)
+    a = store.malloc(32)
+    store.malloc(8)
+    store.free(a)
+    assert store.malloc(40).base == 40  # the 32-byte hole is too small
+    assert store.malloc(24).base == 0  # the first hole that fits
+    assert store.malloc(8).base == 24
+
+
+def test_hole_displaced_from_last_place_is_still_found():
+    store = HeapStore(128)
+    a = store.malloc(32)  # [0, 32)
+    store.malloc(8)
+    c = store.malloc(48)  # [40, 88)
+    store.malloc(32)
+    e = store.malloc(8)  # [120, 128): the heap is full
+    store.free(a)
+    store.free(c)
+    assert store.malloc(30).base == 0  # leaves a 2-byte hole
+    assert store.malloc(20).base == 40  # fits no hole below the last one
+    store.free(e)  # [60, 88) is no longer the last hole
+    assert store.malloc(24).base == 60
+
+
+def test_buffer_is_made_by_the_first_claim():
+    store = HeapStore(1 << 20)
+    assert store.bytes is None
+    store.malloc(8)
+    assert len(store.bytes) == 1 << 20
+
+
 # -- in-language end to end --------------------------------------------------------
 
 

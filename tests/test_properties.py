@@ -3,7 +3,10 @@ import random
 from hypothesis import assume, given, settings, strategies as st
 
 from philang import corpus
+from philang.errors import EvalFault
 from philang.heap import (
+    WINDOW_SIZE,
+    Allocation,
     HeapStore,
     PointerValue,
     block_read_bytes,
@@ -102,6 +105,155 @@ def test_pointer_add_associates_with_sum(address, stride, j, k):
     one = pointer_add(pointer_add(p, j), k)
     both = pointer_add(p, j + k)
     assert one.address == both.address
+
+
+# -- allocator against a linear-scan reference -----------------------------------
+
+
+class LinearHeap:
+    """The allocator as linear scans, the reference for HeapStore's indexes:
+    every malloc sorts every live block and window to find the first gap that
+    fits, and every access scans every window and every block ever made. Its
+    windows may overlap each other and the malloc range, so the sequences
+    below never map an address that would place one so."""
+
+    def __init__(self, capacity):
+        self.capacity = capacity
+        self.bytes = bytearray(capacity)
+        self.allocations = []
+        self.windows = []  # (start, size, base)
+
+    def _gaps(self):
+        taken = sorted(
+            [(a.base, a.size) for a in self.allocations if a.alive]
+            + [(base, size) for _start, size, base in self.windows]
+        )
+        cursor = 0
+        for base, size in taken:
+            if base > cursor:
+                yield (cursor, base - cursor)
+            cursor = max(cursor, base + size)
+        if cursor < self.capacity:
+            yield (cursor, self.capacity - cursor)
+
+    def _claim(self, size):
+        for base, room in self._gaps():
+            if room >= size:
+                return base
+        raise EvalFault("out-of-capacity", f"cannot claim {size} bytes of heap")
+
+    def malloc(self, size):
+        alloc = Allocation(self._claim(size), size)
+        self.allocations.append(alloc)
+        return alloc
+
+    def free(self, alloc):
+        if not alloc.alive:
+            raise EvalFault("double-free", "already freed")
+        alloc.alive = False
+
+    def ensure_mapped(self, addr):
+        if 0 <= addr < self.capacity:
+            return
+        if not any(start <= addr < start + size for start, size, _base in self.windows):
+            base = self._claim(WINDOW_SIZE)
+            self.windows.append((max(0, addr - WINDOW_SIZE // 2), WINDOW_SIZE, base))
+
+    def _translate(self, addr, length):
+        for start, size, base in self.windows:
+            if start <= addr < start + size:
+                if addr + length > start + size:
+                    raise EvalFault("out-of-bounds", "leaves its address window")
+                return base + (addr - start)
+        if 0 <= addr and addr + length <= self.capacity:
+            for a in self.allocations:
+                if a.alive and a.base <= addr and addr + length <= a.base + a.size:
+                    return addr
+            for a in self.allocations:
+                if not a.alive and a.base <= addr < a.base + a.size:
+                    raise EvalFault("freed-access", "hits a freed allocation")
+        raise EvalFault("unmapped-address", "not mapped")
+
+    def read(self, addr, length):
+        off = self._translate(addr, length)
+        return bytes(self.bytes[off : off + length])
+
+    def write(self, addr, data):
+        off = self._translate(addr, len(data))
+        self.bytes[off : off + len(data)] = data
+
+
+HEAP_CAPACITY = 1 << 14
+# Window centres 8192 apart: each window lies whole above the malloc range and
+# a gap of WINDOW_SIZE bytes separates neighbours, so the reference places
+# every window where HeapStore does.
+CENTRES = [HEAP_CAPACITY + WINDOW_SIZE // 2 + 8192 * j for j in range(4)]
+ADDRESSES = st.one_of(
+    st.tuples(st.just("block"), st.integers(0, 63), st.integers(0, 1 << 12)),
+    st.tuples(st.just("window"), st.integers(0, 7), st.integers(-16, 16)),
+    st.tuples(st.just("raw"), st.integers(-8, CENTRES[-1] + 8192), st.just(0)),
+)
+HEAP_CALLS = st.lists(
+    st.one_of(
+        # sizes in 512-byte steps too, so that requests often fit a hole or
+        # the rest of the heap exactly
+        st.tuples(st.just("malloc"), st.integers(1, 6000) | st.integers(1, 12).map(lambda k: 512 * k)),
+        st.tuples(st.just("free"), st.integers(0, 63)),
+        st.tuples(st.just("map"), st.one_of(st.integers(0, HEAP_CAPACITY - 1), st.sampled_from(CENTRES))),
+        st.tuples(st.just("read"), ADDRESSES, st.integers(1, 16)),
+        st.tuples(st.just("write"), ADDRESSES, st.binary(min_size=1, max_size=16)),
+    ),
+    min_size=10,
+    max_size=40,
+)
+
+
+def _address(spec, ref):
+    """An address near a block or a window edge of the reference, or a raw one."""
+    kind, a, b = spec
+    if kind == "block" and ref.allocations:  # within 8 bytes of a block, either side
+        block = ref.allocations[a % len(ref.allocations)]
+        return block.base + b % (block.size + 16) - 8
+    if kind == "window" and ref.windows:  # within 16 bytes of where one starts or ends
+        start, size, _base = ref.windows[a // 2 % len(ref.windows)]
+        return start + size * (a % 2) + b
+    return a
+
+
+def _outcome(call):
+    try:
+        return ("ok", call())
+    except EvalFault as exc:
+        return ("fault", exc.kind)
+
+
+@settings(**{**SETTINGS, "max_examples": 60})
+@given(HEAP_CALLS)
+def test_heap_store_matches_linear_reference(calls):
+    store, ref = HeapStore(HEAP_CAPACITY), LinearHeap(HEAP_CAPACITY)
+    for call in calls:
+        op = call[0]
+        if op == "malloc":
+            got = _outcome(lambda: store.malloc(call[1]).base)
+            want = _outcome(lambda: ref.malloc(call[1]).base)
+        elif op == "free":
+            if not ref.allocations:
+                continue
+            k = call[1] % len(ref.allocations)
+            got = _outcome(lambda: store.free(store.allocations[k]))
+            want = _outcome(lambda: ref.free(ref.allocations[k]))
+        elif op == "map":
+            got = _outcome(lambda: store.ensure_mapped(call[1]))
+            want = _outcome(lambda: ref.ensure_mapped(call[1]))
+        elif op == "read":
+            addr = _address(call[1], ref)
+            got = _outcome(lambda: store.read(addr, call[2]))
+            want = _outcome(lambda: ref.read(addr, call[2]))
+        else:
+            addr = _address(call[1], ref)
+            got = _outcome(lambda: store.write(addr, call[2]))
+            want = _outcome(lambda: ref.write(addr, call[2]))
+        assert got == want, call
 
 
 # -- goto-forward payload identity and dead code ----------------------------------
