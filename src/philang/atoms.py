@@ -144,12 +144,8 @@ def _run_while(interp, cond_thunk, args):
     index = 0
     while True:
         interp.tick()
-        cond_obj = (
-            interp.evaluate(cond_thunk.term, cond_thunk.owner)
-            if cond_thunk.term is not None
-            else cond_thunk.force(interp)
-        )
-        cond = interp.dataize(cond_obj)
+        # the condition is evaluated afresh on every pass, never forced once
+        cond = interp.dataize(interp.evaluate(cond_thunk.term, cond_thunk.owner))
         if not isinstance(cond, bool):
             raise EvalFault("non-boolean-condition", f"while condition reduced to {cond!r}")
         if not cond:

@@ -17,6 +17,16 @@ to reproduce:
 
 Control flow is threaded as Signal exceptions carrying a token with
 identity; goto/try scopes absorb exactly their own token.
+
+Step accounting is the semantic clock: the step budget decides where a
+divergent program stops, so every evaluate, resolve, apply, reduction and
+atom run counts one step, in a fixed order. The hot dispatch is
+specialized for speed without moving a step: evaluate, soft_resolve,
+apply and deep_reduce branch on the exact type of their subject, common
+cases first, count their step inline instead of calling tick(), and reach
+a formation's bindings through its binding index. Only run_cached calls
+trace_step when tracing is off; the traced benchmark counts its misses
+that way.
 """
 
 import sys
@@ -35,9 +45,24 @@ from .syntax import (
 
 _MISS = object()
 
+_DATA_TYPES = (bool, int, float, str, bytes)
+_EXACT_DATA = frozenset(_DATA_TYPES)
+
+# names with a fixed meaning in every scope
+_SPECIAL = frozenset(("@", "^", "&", "Q"))
+
 
 def is_datum(x):
-    return isinstance(x, (bool, int, float, str, bytes))
+    return type(x) in _EXACT_DATA
+
+
+def _plain_datum(x, what):
+    """x as its own data type when x's type subclasses one (an IntEnum from
+    a native object or an extra builtin, say); dispatch knows exact types."""
+    for base in _DATA_TYPES:
+        if isinstance(x, base):
+            return base(x)
+    raise AssertionError(f"cannot {what} {x!r}")
 
 
 class Signal(Exception):
@@ -102,21 +127,16 @@ class Closure:
     def label(self):
         return self.term.name or "[]"
 
-    def binding_term(self, name):
-        return self.term.binding(name)
-
     def attr_thunk(self, name, interp):
         th = self._attrs.get(name)
         if th is None:
-            found = None
-            for bname, bterm, bconst in self.term.bindings:
-                if bname == name:
-                    found = (bterm, bconst)
-                    break
+            found = self.term.index().get(name)
             if found is None:
                 return None
-            interp.prepare_blocks(self, name)
-            th = Thunk(found[0], self, memo=found[1])
+            term, const, earlier_blocks = found
+            if earlier_blocks:
+                interp.prepare_blocks(self, earlier_blocks)
+            th = Thunk(term, self, const)
             self._attrs[name] = th
         return th
 
@@ -168,7 +188,7 @@ class NativeObject:
 
 
 class AtomFn(NativeObject):
-    """A native function; copying it yields an AtomApp."""
+    """A native function; copying it (Interpreter.apply) yields an AtomApp."""
 
     __slots__ = ("name", "fn", "bound")
 
@@ -181,14 +201,11 @@ class AtomFn(NativeObject):
     def label(self):
         return self.name
 
-    def native_apply(self, interp, arg_thunks):
-        return AtomApp(self.name, self.fn, self.bound, list(arg_thunks))
-
 
 class AtomApp:
     """A fully-formed native application; running it is cached per instance."""
 
-    __slots__ = ("name", "fn", "bound", "args", "result", "has_result")
+    __slots__ = ("name", "fn", "bound", "args", "result", "has_result", "running")
 
     def __init__(self, name, fn, bound, args):
         self.name = name
@@ -197,6 +214,7 @@ class AtomApp:
         self.args = args
         self.result = None
         self.has_result = False
+        self.running = False
 
     def __repr__(self):
         return f"<{self.name}(...)>"
@@ -246,7 +264,6 @@ class Interpreter:
         self.trace = trace
         self.depth = 0
         self.root = None
-        self._running = set()
 
     # -- plumbing -----------------------------------------------------------
 
@@ -283,7 +300,7 @@ class Interpreter:
             return text if len(text) <= 40 else text[:37] + "..."
         if isinstance(obj, Closure):
             parts = [obj.label()]
-            src = obj.binding_term("source")
+            src = obj.term.binding("source")
             if isinstance(src, Literal) and isinstance(src.value, str):
                 parts.append(src.value)
             return " ".join(parts)
@@ -297,29 +314,35 @@ class Interpreter:
 
     def evaluate(self, term, owner):
         """Structurally evaluate a term in the scope of `owner` (a Closure)."""
-        self.tick()
-        if isinstance(term, Literal):
-            return term.value
-        if isinstance(term, Name):
+        steps = self.steps + 1
+        self.steps = steps
+        if steps > self.max_steps:
+            raise BudgetExceeded(self.max_steps)
+        t = type(term)
+        if t is Name:
             return self.lookup(term.ident, owner)
-        if isinstance(term, Formation):
-            return Closure(term, owner)
-        if isinstance(term, Dispatch):
+        if t is Application:
+            head = self.evaluate(term.head, owner)
+            return self.apply(head, [Thunk(a, owner) for a in term.args])
+        if t is Dispatch:
             if term.attr == "while":
                 return AtomFn("while", self.builtins["__while__"][1], bound=Thunk(term.recv, owner))
             recv = self.evaluate(term.recv, owner)
-            return self.resolve(recv, term.attr)
-        if isinstance(term, Application):
-            head = self.evaluate(term.head, owner)
-            thunks = [Thunk(a, owner) for a in term.args]
-            return self.apply(head, thunks)
-        if isinstance(term, SnapshotRef):
+            found = self.soft_resolve(recv, term.attr)
+            if found is _MISS:
+                raise self._no_attribute(recv, term.attr)
+            return found
+        if t is Literal:
+            return term.value
+        if t is Formation:
+            return Closure(term, owner)
+        if t is SnapshotRef:
             make = self.builtins["__snapshot_handle__"][1]
             return make(self, Thunk(term.target, owner))
-        if isinstance(term, Anchor):
+        if t is Anchor:
             anchor = self.builtins["__anchor__"][1]
             return AtomApp("anchor", anchor, None, [Thunk(term.recv, owner)])
-        if isinstance(term, MetaImport):
+        if t is MetaImport:
             raise EvalFault("meta-eval", "+import lines are not evaluable objects")
         raise AssertionError(f"unknown term {term!r}")
 
@@ -328,29 +351,32 @@ class Interpreter:
         return self.lookup(ident, self.root)
 
     def lookup(self, ident, owner):
-        if ident == "Q":
-            return self.root
-        if ident == "^":
-            if owner is None or owner.lexical is None:
-                raise EvalFault("no-parent", "^ used where there is no enclosing object")
-            return owner.lexical
-        if ident == "&":
-            return HomeView(owner)
-        if ident == "@":
+        if ident in _SPECIAL:
+            if ident == "Q":
+                return self.root
+            if ident == "^":
+                if owner is None or owner.lexical is None:
+                    raise EvalFault("no-parent", "^ used where there is no enclosing object")
+                return owner.lexical
+            if ident == "&":
+                return HomeView(owner)
             return self._lookup_decoratee(owner)
         node = owner
         while node is not None:
             th = node.bound.get(ident)
-            if th is None and ident in node.term.params:
-                raise EvalFault(
-                    "partial-application",
-                    f"parameter {ident!r} of {node.label()} was never bound",
-                )
             if th is None:
-                th = node.attr_thunk(ident, self)
-            if th is not None:
-                return th.force(self)
-            node = node.lexical
+                if ident in node.term.params:
+                    raise EvalFault(
+                        "partial-application",
+                        f"parameter {ident!r} of {node.label()} was never bound",
+                    )
+                th = node._attrs.get(ident) or node.attr_thunk(ident, self)
+                if th is None:
+                    node = node.lexical
+                    continue
+            if th.has_obj:
+                return th.obj
+            return th.force(self)
         made = self.builtin(ident)
         if made is not _MISS:
             return made
@@ -368,9 +394,10 @@ class Interpreter:
         raise EvalFault("unknown-name", "@ used where no enclosing object has a decoratee")
 
     def is_active(self, obj):
-        if id(obj) in self._running:
-            return True
-        return isinstance(obj, Closure) and obj._reducing
+        t = type(obj)
+        if t is AtomApp:
+            return obj.running
+        return t is Closure and obj._reducing
 
     def builtin(self, ident):
         entry = self.builtins.get(ident, _MISS)
@@ -381,58 +408,54 @@ class Interpreter:
             return value(self)
         return value
 
-    def prepare_blocks(self, closure, upto_name):
-        """Run earlier `.block` bindings so record fields pack in
+    def prepare_blocks(self, closure, blocks):
+        """Run the `.block` bindings `blocks`, each a (name, term) pair
+        declared before the attribute being made, so record fields pack in
         declaration order regardless of access order."""
-        term = closure.term
-        for bname, bterm, _c in term.bindings:
-            if bname == upto_name:
-                return
-            if (
-                isinstance(bterm, Application)
-                and isinstance(bterm.head, Dispatch)
-                and bterm.head.attr == "block"
-            ):
-                th = closure._attrs.get(bname)
-                if th is None:
-                    th = Thunk(bterm, closure)
-                    closure._attrs[bname] = th
-                self.deep_reduce(th.force(self))
+        for bname, bterm in blocks:
+            th = closure._attrs.get(bname)
+            if th is None:
+                th = Thunk(bterm, closure)
+                closure._attrs[bname] = th
+            self.deep_reduce(th.force(self))
 
     # -- resolution ---------------------------------------------------------
 
     def resolve(self, obj, name):
         found = self.soft_resolve(obj, name)
         if found is _MISS:
-            raise EvalFault(
-                "attribute-not-found",
-                f"{self.describe(obj)} has no attribute {name!r}",
-            )
+            raise self._no_attribute(obj, name)
         return found
+
+    def _no_attribute(self, obj, name):
+        return EvalFault("attribute-not-found", f"{self.describe(obj)} has no attribute {name!r}")
 
     def soft_resolve(self, obj, name):
         seen = None
         while True:
-            self.tick()
-            if isinstance(obj, Closure):
-                if name == "@":
-                    th = obj.attr_thunk("@", self)
-                    if th is None:
-                        return _MISS
-                    return th.force(self)
-                if name == "^":
-                    if obj.lexical is None:
-                        raise EvalFault("no-parent", f"{obj.label()} has no enclosing object")
-                    return obj.lexical
-                if name == "&":
-                    return HomeView(obj)
-                if name == "Q":
+            steps = self.steps + 1
+            self.steps = steps
+            if steps > self.max_steps:
+                raise BudgetExceeded(self.max_steps)
+            t = type(obj)
+            if t is Closure:
+                if name in _SPECIAL:
+                    if name == "@":
+                        th = obj.attr_thunk("@", self)
+                        if th is None:
+                            return _MISS
+                        return th.force(self)
+                    if name == "^":
+                        if obj.lexical is None:
+                            raise EvalFault("no-parent", f"{obj.label()} has no enclosing object")
+                        return obj.lexical
+                    if name == "&":
+                        return HomeView(obj)
                     return self.root
-                th = obj.bound.get(name)
+                th = obj.bound.get(name) or obj._attrs.get(name) or obj.attr_thunk(name, self)
                 if th is not None:
-                    return th.force(self)
-                th = obj.attr_thunk(name, self)
-                if th is not None:
+                    if th.has_obj:
+                        return th.obj
                     return th.force(self)
                 if obj is self.root:
                     made = self.builtin(name)
@@ -449,28 +472,29 @@ class Interpreter:
                         f"decoration of {obj.label()} loops back on itself",
                     )
                 seen.add(id(obj))
-                self.trace_step(obj)
+                if self.trace:
+                    self.trace_step(obj)
                 obj = at.force(self)
                 continue
-            if isinstance(obj, AtomApp):
+            if t is AtomApp:
                 obj = self.run_cached(obj)
                 continue
-            if is_datum(obj):
-                if name == "&":
-                    return HomeView(obj)
-                return self._data_attr(self, obj, name)
-            if isinstance(obj, NativeObject):
-                found = obj.native_attr(self, name)
-                if found is not _MISS:
-                    return found
-                if name == "&":
-                    return HomeView(obj)
-                probe = obj.native_dataize(self)
-                if probe is _MISS:
-                    return _MISS
-                obj = probe
-                continue
-            raise AssertionError(f"cannot resolve on {obj!r}")
+            if t not in _EXACT_DATA:
+                if isinstance(obj, NativeObject):
+                    found = obj.native_attr(self, name)
+                    if found is not _MISS:
+                        return found
+                    if name == "&":
+                        return HomeView(obj)
+                    probe = obj.native_dataize(self)
+                    if probe is _MISS:
+                        return _MISS
+                    obj = probe
+                    continue
+                obj = _plain_datum(obj, "resolve on")
+            if name == "&":
+                return HomeView(obj)
+            return self._data_attr(self, obj, name)
 
     def home_of(self, obj):
         if isinstance(obj, Closure):
@@ -482,35 +506,44 @@ class Interpreter:
     # -- application --------------------------------------------------------
 
     def apply(self, obj, arg_thunks):
-        self.tick()
-        if isinstance(obj, Closure):
+        steps = self.steps + 1
+        self.steps = steps
+        if steps > self.max_steps:
+            raise BudgetExceeded(self.max_steps)
+        t = type(obj)
+        if t is Closure:
             return obj.copy_with(arg_thunks, self)
-        if isinstance(obj, NativeObject):
-            return obj.native_apply(self, arg_thunks)
-        if isinstance(obj, AtomApp):
+        if t is AtomFn:
+            return AtomApp(obj.name, obj.fn, obj.bound, list(arg_thunks))
+        if t is AtomApp:
             return self.apply(self.run_cached(obj), arg_thunks)
-        if is_datum(obj):
-            raise EvalFault("not-applicable", f"a data value ({obj!r}) cannot take arguments")
-        raise AssertionError(f"cannot apply {obj!r}")
+        if t not in _EXACT_DATA:
+            if isinstance(obj, NativeObject):
+                return obj.native_apply(self, arg_thunks)
+            obj = _plain_datum(obj, "apply")
+        raise EvalFault("not-applicable", f"a data value ({obj!r}) cannot take arguments")
 
     # -- reduction & dataization ---------------------------------------------
 
     def run_cached(self, app):
         if app.has_result:
             return app.result
-        if id(app) in self._running:
+        if app.running:
             raise EvalFault(
                 "circular-reduction", f"{app.name} depends on its own result"
             )
-        self.tick()
+        steps = self.steps + 1
+        self.steps = steps
+        if steps > self.max_steps:
+            raise BudgetExceeded(self.max_steps)
         self.trace_step(app)
-        self._running.add(id(app))
+        app.running = True
         self.depth += 1
         try:
             result = app.fn(self, app.bound, app.args)
         finally:
             self.depth -= 1
-            self._running.discard(id(app))
+            app.running = False
         app.result = result
         app.has_result = True
         return result
@@ -519,16 +552,20 @@ class Interpreter:
         """Reduce to a normal form: a datum, an abstract closure, or a
         native object. Runs whatever the chain passes through."""
         while True:
-            self.tick()
-            if is_datum(obj):
+            steps = self.steps + 1
+            self.steps = steps
+            if steps > self.max_steps:
+                raise BudgetExceeded(self.max_steps)
+            t = type(obj)
+            if t in _EXACT_DATA:
                 return obj
-            if isinstance(obj, AtomApp):
+            if t is AtomApp:
                 obj = self.run_cached(obj)
                 continue
-            if isinstance(obj, Closure):
+            if t is Closure:
                 if obj._has_reduced:
                     return obj._reduced
-                th = obj.attr_thunk("@", self)
+                th = obj._attrs.get("@") or obj.attr_thunk("@", self)
                 if th is None:
                     return obj
                 if obj._reducing:
@@ -542,11 +579,12 @@ class Interpreter:
                         "partial-application",
                         f"{obj.label()} dataized with unbound parameter(s): {', '.join(missing)}",
                     )
-                self.trace_step(obj)
+                if self.trace:
+                    self.trace_step(obj)
                 obj._reducing = True
                 self.depth += 1
                 try:
-                    reduced = self.deep_reduce(th.force(self))
+                    reduced = self.deep_reduce(th.obj if th.has_obj else th.force(self))
                 finally:
                     self.depth -= 1
                     obj._reducing = False
@@ -559,7 +597,7 @@ class Interpreter:
                     return obj
                 obj = step
                 continue
-            raise AssertionError(f"cannot reduce {obj!r}")
+            return _plain_datum(obj, "reduce")
 
     def dataize(self, obj):
         """Reduce and then demand a terminal datum."""
@@ -581,7 +619,7 @@ class Interpreter:
     def final_value(self, obj):
         """Program-result flavor of dataization: abstract objects are
         acceptable outcomes, cells are read."""
-        if is_datum(obj):
+        if self.trace and is_datum(obj):
             self.trace_step(obj)
         r = self.deep_reduce(obj)
         if is_datum(r) or isinstance(r, Closure):

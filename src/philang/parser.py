@@ -541,6 +541,7 @@ def attach_source(term, warn=None):
                 )
         else:
             term.bindings.append(("source", Literal(str(term.span), span=term.span), False))
+            term._index = None
     elif isinstance(term, Application):
         attach_source(term.head, warn)
         for arg in term.args:

@@ -5,6 +5,7 @@ Builds the root scope from a parsed module, picks the entry object
 step budget, with stdout captured or streamed.
 """
 
+import contextlib
 import io
 import sys
 
@@ -19,11 +20,24 @@ from .syntax import Formation, Name, SourceSpan
 DEFAULT_MAX_STEPS = 1_000_000
 DEFAULT_HEAP_SIZE = 1 << 20
 
-# reduction recurses through decoration chains; deep programs need some
-# headroom, but a limit past ~3000 risks exhausting the C stack instead of
-# raising RecursionError
-if sys.getrecursionlimit() < 3000:
-    sys.setrecursionlimit(3000)
+# Parsing recurses through nested lines and reduction through decoration
+# chains, so deep programs need more than Python's default recursion limit;
+# a limit past ~3000 risks exhausting the C stack instead of raising
+# RecursionError.
+RECURSION_LIMIT = 3000
+
+
+@contextlib.contextmanager
+def _recursion_headroom():
+    """Raise the recursion limit to RECURSION_LIMIT for the block and then
+    restore the caller's, so importing or running philang leaves it alone."""
+    limit = sys.getrecursionlimit()
+    if limit < RECURSION_LIMIT:
+        sys.setrecursionlimit(RECURSION_LIMIT)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 class Program:
@@ -42,11 +56,12 @@ class Program:
         extra_builtins=None,
     ):
         self.file = file
-        self.entries = parse_entries(text, file)
         self.stderr = stderr
-        if traceability:
-            for _name, _const, term in self.entries:
-                attach_source(term, warn=self._warn)
+        with _recursion_headroom():
+            self.entries = parse_entries(text, file)
+            if traceability:
+                for _name, _const, term in self.entries:
+                    attach_source(term, warn=self._warn)
         store = HeapStore(heap_size)
         self.interp = Interpreter(
             builtins=atoms.build_builtins(store, extra=extra_builtins),
@@ -89,10 +104,17 @@ class Program:
 
     def run(self):
         """Dataize the entry object; returns the final value."""
-        target = self.entry_target()
+        return self._dataize(self.entry_target())
+
+    def dataize_name(self, name):
+        """Dataize a named top-level object."""
+        return self._dataize(Name(name))
+
+    def _dataize(self, target):
         try:
-            obj = self.interp.evaluate(target, self.root)
-            return self.interp.final_value(obj)
+            with _recursion_headroom():
+                obj = self.interp.evaluate(target, self.root)
+                return self.interp.final_value(obj)
         except Signal as s:
             raise EvalFault(
                 "escaping-signal",
@@ -103,11 +125,6 @@ class Program:
                 "deep-recursion",
                 "object nesting exceeded the interpreter stack",
             ) from None
-
-    def dataize_name(self, name):
-        """Dataize a named top-level object (used by tests)."""
-        obj = self.interp.evaluate(Name(name), self.root)
-        return self.interp.final_value(obj)
 
 
 def run_text(

@@ -103,9 +103,16 @@ class Formation(Term):
 
     bindings is an ordered list of (name, term, const_flag). The decoratee,
     if any, is the binding named '@'. A trailing param may be variadic.
+
+    The run time looks bindings up through a binding index: name ->
+    (term, const_flag, earlier_blocks), where earlier_blocks are the
+    (name, term) pairs of the `.block` bindings declared before it. The
+    first binding of a name wins. The index is built on the first lookup
+    and dropped by `attach_source` when it appends a binding, so it is
+    rebuilt from the list as it then stands.
     """
 
-    __slots__ = ("params", "variadic", "bindings", "name")
+    __slots__ = ("params", "variadic", "bindings", "name", "_index")
     kind = "formation"
 
     def __init__(self, params, variadic, bindings, name=None, span=None):
@@ -114,12 +121,29 @@ class Formation(Term):
         self.variadic = variadic
         self.bindings = bindings
         self.name = name
+        self._index = None
+
+    def index(self):
+        """The binding index, built from `bindings` on first use."""
+        index = self._index
+        if index is None:
+            index = {}
+            blocks = ()
+            for bname, bterm, bconst in self.bindings:
+                if bname not in index:
+                    index[bname] = (bterm, bconst, blocks)
+                if (
+                    type(bterm) is Application
+                    and type(bterm.head) is Dispatch
+                    and bterm.head.attr == "block"
+                ):
+                    blocks += ((bname, bterm),)
+            self._index = index
+        return index
 
     def binding(self, name):
-        for bname, term, _const in self.bindings:
-            if bname == name:
-                return term
-        return None
+        entry = self.index().get(name)
+        return entry[0] if entry is not None else None
 
     def __repr__(self):
         return f"Formation([{' '.join(self.params)}] > {self.name or '?'})"
@@ -285,15 +309,6 @@ def _emit(term, name, const, indent, out):
                 _emit(arg, None, False, indent + 1, out)
     else:
         out.append(pad + _inline(term) + suffix)
-
-
-def render(terms):
-    """Pretty-print top-level terms back to parseable source."""
-    out = []
-    for term in terms:
-        name = getattr(term, "name", None)
-        _emit(term, name, False, 0, out)
-    return "\n".join(out) + "\n"
 
 
 def render_entries(entries):

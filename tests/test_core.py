@@ -1,6 +1,8 @@
+import enum
+
 import pytest
 
-from philang.core import Closure, snapshot
+from philang.core import Closure, NativeObject, snapshot
 from philang.errors import EvalFault
 from philang.runtime import run_text
 
@@ -308,3 +310,25 @@ def test_circular_attribute_detected():
     with pytest.raises(EvalFault) as e:
         run_src("[] > f\n  b > a\n  a > b\n  a > @\nf\n")
     assert fault_kind(e) == "circular-attribute"
+
+
+class Small(enum.IntEnum):
+    SEVEN = 7
+
+
+class SevenCell(NativeObject):
+    label = "seven-cell"
+
+    def native_dataize(self, interp):
+        return Small.SEVEN
+
+
+@pytest.mark.parametrize(
+    "src, want",
+    [("seven\n", 7), ("cell\n", 7), ("(seven.add cell).add 1\n", 15), ("cell.as-string\n", "7")],
+)
+def test_int_subclass_from_outside_is_a_plain_datum(src, want):
+    extra = {"seven": ("value", Small.SEVEN), "cell": ("value", SevenCell())}
+    _out, _err, value = run_text(src, extra_builtins=extra)
+    assert value == want
+    assert type(value) is type(want)

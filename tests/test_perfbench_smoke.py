@@ -12,6 +12,7 @@ import pytest
 
 import philang
 import philang.corpus
+from philang.core import Interpreter
 from philang.heap import HeapStore
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -43,15 +44,39 @@ def test_small_ops_pass_through_the_harness(workload):
         assert first.history == second.history == HISTORY.get(op.id, 0), op.id
 
 
-def test_heap_profile_keys_are_found():
-    # the traced run finds heap.malloc_us and heap.access_us under these names in heap.py
-    (op,) = workloads.heap_small(philang)
+def _profiled_stats(op):
     profile = cProfile.Profile()
     outcome = harness.execute(philang, op, run_profile=profile)
     assert op.check(outcome.out, outcome.value, outcome.fault)
-    calls = {(path, line, name): row[1] for (path, line, name), row in pstats.Stats(profile).stats.items()}
+    return pstats.Stats(profile).stats
+
+
+def _key(method, cls, module):
+    """The cProfile key of `method`, checked to be the qualified name the
+    traced run looks up in `module`."""
+    code = method.__code__
+    assert method.__qualname__ == f"{cls}.{code.co_name}"
+    assert os.path.basename(code.co_filename) == module
+    return (code.co_filename, code.co_firstlineno, code.co_name)
+
+
+def test_heap_profile_keys_are_found():
+    # the traced run finds heap.malloc_us and heap.access_us under these names in heap.py
+    (op,) = workloads.heap_small(philang)
+    stats = _profiled_stats(op)
     for method in (HeapStore.malloc, HeapStore.read, HeapStore.write):
-        code = method.__code__
-        assert method.__qualname__ == "HeapStore." + code.co_name
-        assert os.path.basename(code.co_filename) == "heap.py"
-        assert calls.get((code.co_filename, code.co_firstlineno, code.co_name), 0) > 0
+        assert stats[_key(method, "HeapStore", "heap.py")][1] > 0
+
+
+def test_core_profile_keys_are_found():
+    # the traced run counts core.*_calls by these names in core.py, and takes
+    # run_cached's misses from its calls to trace_step
+    (op,) = workloads.loop_small(philang)
+    stats = _profiled_stats(op)
+    for method in (Interpreter.evaluate, Interpreter.soft_resolve, Interpreter.apply,
+                   Interpreter.deep_reduce):
+        assert stats[_key(method, "Interpreter", "core.py")][1] > 0
+    run_cached = _key(Interpreter.run_cached, "Interpreter", "core.py")
+    callers = stats[_key(Interpreter.trace_step, "Interpreter", "core.py")][4]
+    misses = callers[run_cached][1]
+    assert 0 < misses <= stats[run_cached][1]

@@ -1,5 +1,10 @@
+import os
+import subprocess
+import sys
+
 import pytest
 
+import philang
 from philang.errors import BudgetExceeded, EvalFault
 
 from conftest import fault_kind, run_src
@@ -189,3 +194,54 @@ def test_budget_is_deterministic():
         except BudgetExceeded as e:
             counts.append(e.limit)
     assert counts == [777, 777]
+
+
+# Recursive `sum n`: each level nests one `n.add (sum ...)` inside the next.
+SUM_SRC = """\
+[n] > sum
+  if. > @
+    n.less 1
+    0
+    n.add (sum (n.sub 1))
+[] > main
+  sum {n} > @
+"""
+
+
+def test_deep_recursion_completes():
+    # fails when a level of object nesting costs more Python frames
+    limit = sys.getrecursionlimit()
+    _out, value = run_src(SUM_SRC.format(n=340))
+    assert value == 340 * 341 // 2 == 57970
+    assert sys.getrecursionlimit() == limit
+
+
+def test_too_deep_recursion_is_an_eval_fault():
+    limit = sys.getrecursionlimit()
+    with pytest.raises(EvalFault) as e:
+        run_src(SUM_SRC.format(n=5000))
+    assert fault_kind(e) == "deep-recursion"
+    assert sys.getrecursionlimit() == limit
+
+
+def test_deeply_nested_program_parses_and_runs():
+    # parsing recurses per nested line, so it needs the same headroom as a run
+    depth = 600
+    lines = ["[] > main"] + ["  " * i + "seq" + (" > @" if i == 1 else "") for i in range(1, depth)]
+    limit = sys.getrecursionlimit()
+    _out, value = run_src("\n".join(lines + ["  " * depth + "42"]) + "\n")
+    assert value == 42
+    assert sys.getrecursionlimit() == limit
+
+
+def test_import_leaves_the_recursion_limit_alone():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(philang.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        "import sys; before = sys.getrecursionlimit(); "
+        "import philang, philang.cli, philang.corpus; "
+        "print(before, sys.getrecursionlimit())"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout.split()
+    assert out[0] == out[1]
