@@ -3,6 +3,9 @@
 
 Everything impure lives here; the object core only knows how to run an
 AtomApp and how to ask a native object for attributes, a datum, or a step.
+The core is handed this module as its registry of native entry points
+(`while_atom`, `SnapshotHandle`, `anchor_atom`, `data_attr`, `data_home`,
+`ArrayObject`) and the `vocabulary` namespace of global names.
 """
 
 from . import heap as heapmod
@@ -138,6 +141,11 @@ def _run_if3(interp, _bound, args):
     return interp.deep_reduce(chosen.force(interp))
 
 
+def while_atom(cond_thunk):
+    """`x.while`, bound to the unevaluated condition `x`."""
+    return AtomFn("while", _run_while, bound=cond_thunk)
+
+
 def _run_while(interp, cond_thunk, args):
     _arity(args, 1, "while")
     body = args[0].force(interp)
@@ -204,7 +212,7 @@ def _run_try(interp, _bound, args):
 
 
 class MemoryCell(NativeObject):
-    __slots__ = ("value", "written")
+    __slots__ = ("written", "value")
     label = "memory"
 
     def __init__(self):
@@ -298,15 +306,16 @@ class SnapshotHandle(NativeObject):
         return self._need()
 
 
+def anchor_atom(handle_thunk):
+    """`c.<`: captures the snapshot handle `c` when run."""
+    return AtomApp("anchor", _run_anchor, None, [handle_thunk])
+
+
 def _run_anchor(interp, _bound, args):
     handle = args[0].force(interp)
     if not isinstance(handle, SnapshotHandle):
         raise EvalFault("bad-anchor", ".< works only on a snapshot handle")
     return handle.anchor(interp)
-
-
-def _make_snapshot_handle(interp, thunk):
-    return SnapshotHandle(thunk)
 
 
 # -- arrays -------------------------------------------------------------------
@@ -349,10 +358,6 @@ def _run_array_each(interp, arr, args):
 
 def _run_array_make(interp, _bound, args):
     return ArrayObject(args)
-
-
-def make_array(thunks):
-    return ArrayObject(thunks)
 
 
 # -- data operations ----------------------------------------------------------
@@ -414,6 +419,9 @@ def _run_cmp(op):
     return run
 
 
+_CMP = {op: _run_cmp(op) for op in ("less", "greater")}
+
+
 def _run_as_string(interp, left, args):
     _arity(args, 0, "as-string")
     return to_text(left)
@@ -455,8 +463,8 @@ def data_attr(interp, value, name):
     if isinstance(value, (int, float)):
         if name in _ARITH:
             return AtomFn(name, _ARITH[name], bound=value)
-        if name in ("less", "greater"):
-            return AtomFn(name, _run_cmp(name), bound=value)
+        if name in _CMP:
+            return AtomFn(name, _CMP[name], bound=value)
         if name == "as-int":
             return AtomApp("as-int", _run_as_int, value, [])
         return _MISS
@@ -504,7 +512,7 @@ _HOMES = {
 }
 
 
-def data_home(interp, value):
+def data_home(value):
     return _HOMES[type(value)]
 
 
@@ -642,10 +650,8 @@ class PtrObj(NativeObject):
         self.pv = pv
 
     def native_attr(self, interp, name):
-        if name == "add":
-            return AtomFn("pointer-add", _run_ptr_shift(1), bound=self)
-        if name == "sub":
-            return AtomFn("pointer-sub", _run_ptr_shift(-1), bound=self)
+        if name in _PTR_SHIFT:
+            return AtomFn("pointer-" + name, _PTR_SHIFT[name], bound=self)
         if name == "block":
             return AtomFn("block", _run_block, bound=self)
         if name == "address":
@@ -663,6 +669,9 @@ def _run_ptr_shift(sign):
         return PtrObj(ptr_obj.pv.shifted(sign * k))
 
     return run
+
+
+_PTR_SHIFT = {"add": _run_ptr_shift(1), "sub": _run_ptr_shift(-1)}
 
 
 def _run_block(interp, ptr_obj, args):
@@ -700,10 +709,13 @@ def _run_block_write(interp, view_obj, args):
     return True
 
 
-# -- namespaces and the builtin table ------------------------------------------
+# -- the global vocabulary -----------------------------------------------------
 
 
 class Namespace(NativeObject):
+    """A node of the global vocabulary. A child that is a class is
+    instantiated on every mention, so each `memory` or `cage` is a new cell."""
+
     __slots__ = ("path", "children")
 
     def __init__(self, path, children):
@@ -715,51 +727,27 @@ class Namespace(NativeObject):
         return self.path
 
     def native_attr(self, interp, name):
-        entry = self.children.get(name)
-        if entry is None:
-            return _MISS
-        kind, value = entry
-        if kind == "factory":
-            return value(interp)
-        return value
+        child = self.children.get(name, _MISS)
+        return child() if isinstance(child, type) else child
 
 
-def build_builtins(heap_store, extra=None):
-    """The global vocabulary of one program instance."""
-    heap_obj = HeapObject(heap_store)
-    values = {
-        "seq": AtomFn("seq", _run_seq),
-        "if": AtomFn("if", _run_if3),
-        "goto": AtomFn("goto", _run_goto),
-        "try": AtomFn("try", _run_try),
-        "stdout": AtomFn("stdout", _run_stdout),
-        "sprintf": AtomFn("sprintf", _run_sprintf),
-        "array": AtomFn("array", _run_array_make),
-    }
-    factories = {
-        "memory": lambda interp: MemoryCell(),
-        "cage": lambda interp: CageSlot(),
-    }
-    gray = {name: ("value", values[name]) for name in ("goto", "try")}
-    gray["cage"] = ("factory", factories["cage"])
-    gray["heap"] = ("value", heap_obj)
+def vocabulary(heap_store, extra=None):
+    """The global names of one program instance, as one namespace tree:
+    bare names and `Q.<name>` resolve at its root, and `org.eolang.*`
+    holds the same objects. `extra` maps further names to objects and
+    shadows globals of the same name."""
+    root = {name: AtomFn(name, fn) for name, fn in (
+        ("seq", _run_seq), ("if", _run_if3), ("goto", _run_goto), ("try", _run_try),
+        ("stdout", _run_stdout), ("sprintf", _run_sprintf), ("array", _run_array_make),
+    )}
+    root.update(memory=MemoryCell, cage=CageSlot, heap=HeapObject(heap_store))
     eolang = {
-        "io": ("value", Namespace("org.eolang.io", {"stdout": ("value", values["stdout"])})),
-        "txt": ("value", Namespace("org.eolang.txt", {"sprintf": ("value", values["sprintf"])})),
-        "gray": ("value", Namespace("org.eolang.gray", gray)),
-        "memory": ("factory", factories["memory"]),
-        "array": ("value", values["array"]),
+        "io": Namespace("org.eolang.io", {"stdout": root["stdout"]}),
+        "txt": Namespace("org.eolang.txt", {"sprintf": root["sprintf"]}),
+        "gray": Namespace("org.eolang.gray", {n: root[n] for n in ("goto", "try", "cage", "heap")}),
+        "memory": MemoryCell,
+        "array": root["array"],
     }
-    builtins = {name: ("value", obj) for name, obj in values.items()}
-    builtins.update({name: ("factory", fn) for name, fn in factories.items()})
-    builtins["heap"] = ("value", heap_obj)
-    builtins["org"] = (
-        "value",
-        Namespace("org", {"eolang": ("value", Namespace("org.eolang", eolang))}),
-    )
-    builtins["__while__"] = ("value", _run_while)
-    builtins["__snapshot_handle__"] = ("value", _make_snapshot_handle)
-    builtins["__anchor__"] = ("value", _run_anchor)
-    if extra:
-        builtins.update(extra)
-    return builtins
+    root["org"] = Namespace("org", {"eolang": Namespace("org.eolang", eolang)})
+    root.update(extra or {})
+    return Namespace("Q", root)

@@ -148,7 +148,7 @@ class Closure:
         args = list(arg_thunks)
         for p in unbound:
             if variadic and p == params[-1]:
-                new_bound[p] = Thunk.of(interp.make_array(args))
+                new_bound[p] = Thunk.of(interp.atoms.ArrayObject(args))
                 args = []
                 break
             if not args:
@@ -240,23 +240,17 @@ class HomeView(NativeObject):
 
 
 class Interpreter:
-    """One program instance: budget, heap, sinks and the root scope."""
+    """One program instance: budget, heap, sinks and the root scope.
 
-    def __init__(
-        self,
-        builtins,
-        data_attr,
-        data_home,
-        make_array,
-        max_steps=1_000_000,
-        stdout=None,
-        stderr=None,
-        trace=False,
-    ):
-        self.builtins = builtins
-        self._data_attr = data_attr
-        self._data_home = data_home
-        self._make_array = make_array
+    `atoms` is the registry of native entry points the core calls directly
+    (the `atoms` module): `while_atom`, `SnapshotHandle`, `anchor_atom`,
+    `data_attr`, `data_home` and `ArrayObject`. `vocabulary` is the
+    namespace that bare global names and `Q.<name>` resolve in.
+    """
+
+    def __init__(self, atoms, vocabulary, max_steps=1_000_000, stdout=None, stderr=None, trace=False):
+        self.atoms = atoms
+        self.vocabulary = vocabulary
         self.max_steps = max_steps
         self.steps = 0
         self.stdout = stdout if stdout is not None else sys.stdout.buffer
@@ -285,9 +279,6 @@ class Interpreter:
             self.stderr.flush()
         except (ValueError, OSError):
             pass
-
-    def make_array(self, thunks):
-        return self._make_array(thunks)
 
     def trace_step(self, obj):
         if not self.trace:
@@ -326,7 +317,7 @@ class Interpreter:
             return self.apply(head, [Thunk(a, owner) for a in term.args])
         if t is Dispatch:
             if term.attr == "while":
-                return AtomFn("while", self.builtins["__while__"][1], bound=Thunk(term.recv, owner))
+                return self.atoms.while_atom(Thunk(term.recv, owner))
             recv = self.evaluate(term.recv, owner)
             found = self.soft_resolve(recv, term.attr)
             if found is _MISS:
@@ -337,11 +328,9 @@ class Interpreter:
         if t is Formation:
             return Closure(term, owner)
         if t is SnapshotRef:
-            make = self.builtins["__snapshot_handle__"][1]
-            return make(self, Thunk(term.target, owner))
+            return self.atoms.SnapshotHandle(Thunk(term.target, owner))
         if t is Anchor:
-            anchor = self.builtins["__anchor__"][1]
-            return AtomApp("anchor", anchor, None, [Thunk(term.recv, owner)])
+            return self.atoms.anchor_atom(Thunk(term.recv, owner))
         if t is MetaImport:
             raise EvalFault("meta-eval", "+import lines are not evaluable objects")
         raise AssertionError(f"unknown term {term!r}")
@@ -352,15 +341,7 @@ class Interpreter:
 
     def lookup(self, ident, owner):
         if ident in _SPECIAL:
-            if ident == "Q":
-                return self.root
-            if ident == "^":
-                if owner is None or owner.lexical is None:
-                    raise EvalFault("no-parent", "^ used where there is no enclosing object")
-                return owner.lexical
-            if ident == "&":
-                return HomeView(owner)
-            return self._lookup_decoratee(owner)
+            return self.special(ident, owner, bare=True)
         node = owner
         while node is not None:
             th = node.bound.get(ident)
@@ -377,10 +358,29 @@ class Interpreter:
             if th.has_obj:
                 return th.obj
             return th.force(self)
-        made = self.builtin(ident)
+        made = self.vocabulary.native_attr(self, ident)
         if made is not _MISS:
             return made
         raise EvalFault("unknown-name", f"nothing named {ident!r} is in scope")
+
+    def special(self, name, obj, bare):
+        """One of `Q ^ & @` on the closure `obj`: as a bare name in its scope
+        (`bare`) or as its attribute. Only `@` differs: bare `@` walks the
+        lexical chain to the nearest decoratee not being reduced, while
+        `x.@` is x's own decoratee, or _MISS when it has none."""
+        if name == "Q":
+            return self.root
+        if name == "&":
+            return HomeView(obj)
+        if name == "^":
+            if obj is None or obj.lexical is None:
+                where = "^ used where there is" if bare else f"{obj.label()} has"
+                raise EvalFault("no-parent", f"{where} no enclosing object")
+            return obj.lexical
+        if bare:
+            return self._lookup_decoratee(obj)
+        th = obj.attr_thunk("@", self)
+        return _MISS if th is None else th.force(self)
 
     def _lookup_decoratee(self, owner):
         node = owner
@@ -398,15 +398,6 @@ class Interpreter:
         if t is AtomApp:
             return obj.running
         return t is Closure and obj._reducing
-
-    def builtin(self, ident):
-        entry = self.builtins.get(ident, _MISS)
-        if entry is _MISS:
-            return _MISS
-        kind, value = entry
-        if kind == "factory":
-            return value(self)
-        return value
 
     def prepare_blocks(self, closure, blocks):
         """Run the `.block` bindings `blocks`, each a (name, term) pair
@@ -440,25 +431,14 @@ class Interpreter:
             t = type(obj)
             if t is Closure:
                 if name in _SPECIAL:
-                    if name == "@":
-                        th = obj.attr_thunk("@", self)
-                        if th is None:
-                            return _MISS
-                        return th.force(self)
-                    if name == "^":
-                        if obj.lexical is None:
-                            raise EvalFault("no-parent", f"{obj.label()} has no enclosing object")
-                        return obj.lexical
-                    if name == "&":
-                        return HomeView(obj)
-                    return self.root
+                    return self.special(name, obj, bare=False)
                 th = obj.bound.get(name) or obj._attrs.get(name) or obj.attr_thunk(name, self)
                 if th is not None:
                     if th.has_obj:
                         return th.obj
                     return th.force(self)
                 if obj is self.root:
-                    made = self.builtin(name)
+                    made = self.vocabulary.native_attr(self, name)
                     if made is not _MISS:
                         return made
                 at = obj.attr_thunk("@", self)
@@ -494,13 +474,13 @@ class Interpreter:
                 obj = _plain_datum(obj, "resolve on")
             if name == "&":
                 return HomeView(obj)
-            return self._data_attr(self, obj, name)
+            return self.atoms.data_attr(self, obj, name)
 
     def home_of(self, obj):
         if isinstance(obj, Closure):
             return obj.lexical
         if is_datum(obj):
-            return self._data_home(self, obj)
+            return self.atoms.data_home(obj)
         return None
 
     # -- application --------------------------------------------------------
@@ -599,35 +579,28 @@ class Interpreter:
                 continue
             return _plain_datum(obj, "reduce")
 
-    def dataize(self, obj):
-        """Reduce and then demand a terminal datum."""
+    def dataize(self, obj, abstract=False):
+        """Reduce, then read the normal form as a datum (a cell is read, and
+        what it holds is dataized in turn). With `abstract`, as for a
+        program's result, an abstract closure or a native object with no
+        datum is an outcome too; without it, it is a missing-decoratee
+        fault."""
+        if abstract and self.trace and is_datum(obj):
+            self.trace_step(obj)
         r = self.deep_reduce(obj)
         if is_datum(r):
             return r
         if isinstance(r, NativeObject):
             probe = r.native_dataize(self)
             if probe is not _MISS:
-                if is_datum(probe):
-                    return probe
-                return self.dataize(probe)
-            raise EvalFault("missing-decoratee", f"{r.label} does not reduce to a datum")
-        raise EvalFault(
-            "missing-decoratee",
-            f"{self.describe(r)} has neither an atom behavior nor a decoratee",
-        )
-
-    def final_value(self, obj):
-        """Program-result flavor of dataization: abstract objects are
-        acceptable outcomes, cells are read."""
-        if self.trace and is_datum(obj):
-            self.trace_step(obj)
-        r = self.deep_reduce(obj)
-        if is_datum(r) or isinstance(r, Closure):
-            return r
-        if isinstance(r, NativeObject):
-            probe = r.native_dataize(self)
-            if probe is not _MISS:
-                return self.final_value(probe) if not is_datum(probe) else probe
+                return probe if is_datum(probe) else self.dataize(probe, abstract)
+            if not abstract:
+                raise EvalFault("missing-decoratee", f"{r.label} does not reduce to a datum")
+        elif not abstract:
+            raise EvalFault(
+                "missing-decoratee",
+                f"{self.describe(r)} has neither an atom behavior nor a decoratee",
+            )
         return r
 
 

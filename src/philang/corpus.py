@@ -97,7 +97,7 @@ def notes_text(entry_id):
 def run_entry(entry_id, max_steps=DEFAULT_MAX_STEPS, heap_size=DEFAULT_HEAP_SIZE):
     """Execute one entry under the default budget.
 
-    Returns (stdout_bytes, final_value). Runtime errors propagate with the
+    Returns (stdout_bytes, value), value being the program's result. Runtime errors propagate with the
     entry id attached; comparison against the golden is the caller's job.
     """
     entry = get_entry(entry_id)

@@ -11,7 +11,7 @@ import sys
 
 from . import atoms
 from .core import Closure, Interpreter, Signal
-from .errors import EvalFault
+from .errors import EvalFault, SyntaxFault
 from .heap import HeapStore
 from .parser import attach_source, parse_entries
 from .syntax import Formation, Name, SourceSpan
@@ -57,17 +57,18 @@ class Program:
     ):
         self.file = file
         self.stderr = stderr
-        with _recursion_headroom():
-            self.entries = parse_entries(text, file)
-            if traceability:
-                for _name, _const, term in self.entries:
-                    attach_source(term, warn=self._warn)
+        try:
+            with _recursion_headroom():
+                self.entries = parse_entries(text, file)
+                if traceability:
+                    for _name, _const, term in self.entries:
+                        attach_source(term, warn=self._warn)
+        except RecursionError:
+            raise SyntaxFault("program nesting exceeds what the parser can hold", file) from None
         store = HeapStore(heap_size)
         self.interp = Interpreter(
-            builtins=atoms.build_builtins(store, extra=extra_builtins),
-            data_attr=atoms.data_attr,
-            data_home=atoms.data_home,
-            make_array=atoms.make_array,
+            atoms,
+            atoms.vocabulary(store, extra=extra_builtins),
             max_steps=max_steps,
             stdout=stdout,
             stderr=stderr,
@@ -114,7 +115,7 @@ class Program:
         try:
             with _recursion_headroom():
                 obj = self.interp.evaluate(target, self.root)
-                return self.interp.final_value(obj)
+                return self.interp.dataize(obj, abstract=True)
         except Signal as s:
             raise EvalFault(
                 "escaping-signal",

@@ -41,8 +41,7 @@ def probes():
 
     def run(text, *names, **kwargs):
         objs = {n: Probe() for n in names}
-        extra = {n: ("value", o) for n, o in objs.items()}
-        out, _err, value = run_text(text, extra_builtins=extra, **kwargs)
+        out, _err, value = run_text(text, extra_builtins=objs, **kwargs)
         return out, value, objs
 
     return run

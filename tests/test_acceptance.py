@@ -127,7 +127,7 @@ def test_criterion_3_property_suites():
             "[] > main\n  goto > @\n    [g]\n      seq > @\n"
             f"        g.forward {v}\n        crash.bump\n"
         )
-        _out, _err, value = run_text(src, extra_builtins={"crash": ("value", crash)})
+        _out, _err, value = run_text(src, extra_builtins={"crash": crash})
         assert value == v and crash.count == 0
 
     # try/finally on both paths; nested routing for random depth <= 4
@@ -142,7 +142,7 @@ def test_criterion_3_property_suites():
             + body
             + "\n    [e]\n      2 > @\n    fin.bump\n"
         )
-        _out, _err, value = run_text(src, extra_builtins={"fin": ("value", fin)})
+        _out, _err, value = run_text(src, extra_builtins={"fin": fin})
         assert fin.count == 1 and value == (2 if throws else 1)
 
         depth = rng.randint(1, 4)
@@ -157,7 +157,7 @@ def test_criterion_3_property_suites():
         lit = "TRUE" if cond else "FALSE"
         run_text(
             f"[] > main\n  if {lit} (a.bump) (b.bump) > @\n",
-            extra_builtins={"a": ("value", a), "b": ("value", b)},
+            extra_builtins={"a": a, "b": b},
         )
         assert (a.count, b.count) == ((1, 0) if cond else (0, 1))
 
@@ -166,7 +166,7 @@ def test_criterion_3_property_suites():
         steps = "\n".join("    x.add 0" for _ in range(k))
         run_text(
             f"[] > main\n  probe > x!\n  seq > @\n{steps}\n",
-            extra_builtins={"probe": ("value", p)},
+            extra_builtins={"probe": p},
         )
         assert p.count == 1
 

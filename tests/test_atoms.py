@@ -526,10 +526,10 @@ def test_array_each_empty():
     from philang.core import Thunk
     from conftest import Probe
 
+    eff = Probe()
     program, _out, _err = make_program("[t] > body\n  eff.bump > @\n",
-                                       extra_builtins={"eff": ("value", Probe())})
+                                       extra_builtins={"eff": eff})
     interp = program.interp
-    eff = interp.builtins["eff"][1]
     arr = ArrayObject([])
     each = interp.resolve(arr, "each")
     body = interp.evaluate_name("body")
@@ -581,3 +581,53 @@ def test_subtype_of_user_formation():
 """
     _out, value = run_src(src)
     assert value is True
+
+
+# -- the global vocabulary ----------------------------------------------------
+
+# bare global -> its path under Q.org.eolang
+EOLANG_PATHS = {
+    "stdout": ("io", "stdout"),
+    "sprintf": ("txt", "sprintf"),
+    "goto": ("gray", "goto"),
+    "try": ("gray", "try"),
+    "heap": ("gray", "heap"),
+    "array": ("array",),
+}
+
+
+def _under_eolang(interp, *path):
+    node = interp.resolve(interp.resolve(interp.evaluate_name("Q"), "org"), "eolang")
+    for name in path:
+        node = interp.resolve(node, name)
+    return node
+
+
+@pytest.mark.parametrize("name", sorted(EOLANG_PATHS))
+def test_global_is_the_same_atom_bare_and_under_org_eolang(name):
+    program, _out, _err = make_program("[] > main\n  42 > @\n")
+    interp = program.interp
+    bare = interp.evaluate_name(name)
+    assert _under_eolang(interp, *EOLANG_PATHS[name]) is bare
+    assert interp.resolve(interp.evaluate_name("Q"), name) is bare
+
+
+@pytest.mark.parametrize("path", [("memory",), ("gray", "cage")])
+def test_cells_are_fresh_on_every_mention(path):
+    program, _out, _err = make_program("[] > main\n  42 > @\n")
+    interp = program.interp
+    bare = [interp.evaluate_name(path[-1]) for _ in range(2)]
+    nested = [_under_eolang(interp, *path) for _ in range(2)]
+    cells = bare + nested
+    assert len({id(c) for c in cells}) == 4
+    assert len({type(c) for c in cells}) == 1
+
+
+def test_extra_builtin_shadows_a_global():
+    from conftest import Probe
+
+    probe = Probe()
+    program, _out, _err = make_program("[] > main\n  seq.peek > @\n",
+                                       extra_builtins={"seq": probe})
+    assert program.interp.evaluate_name("seq") is probe
+    assert program.run() == 0

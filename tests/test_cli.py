@@ -44,6 +44,16 @@ def test_run_parse_error_exit_two(tmp_path):
     assert b"parse error" in err
 
 
+def test_run_too_deeply_nested_exit_two(tmp_path):
+    deep = tmp_path / "deep.phi"
+    lines = ["[] > main"] + ["  " * i + "seq" + (" > @" if i == 1 else "") for i in range(1, 1500)]
+    deep.write_text("\n".join(lines + ["  " * 1500 + "42"]) + "\n")
+    code, out, err = cli("run", str(deep))
+    assert code == 2
+    assert out == b""
+    assert b"Traceback" not in err and b"parse error" in err
+
+
 def test_runtime_error_exit_one_distinct_diagnostics(tmp_path):
     cases = {
         "div.phi": ("42.div 0\n", b"division-by-zero"),

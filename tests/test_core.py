@@ -328,7 +328,7 @@ class SevenCell(NativeObject):
     [("seven\n", 7), ("cell\n", 7), ("(seven.add cell).add 1\n", 15), ("cell.as-string\n", "7")],
 )
 def test_int_subclass_from_outside_is_a_plain_datum(src, want):
-    extra = {"seven": ("value", Small.SEVEN), "cell": ("value", SevenCell())}
+    extra = {"seven": Small.SEVEN, "cell": SevenCell()}
     _out, _err, value = run_text(src, extra_builtins=extra)
     assert value == want
     assert type(value) is type(want)

@@ -3,7 +3,7 @@ import random
 from hypothesis import assume, given, settings, strategies as st
 
 from philang import corpus
-from philang.errors import EvalFault
+from philang.errors import EvalFault, PhilangError
 from philang.heap import (
     WINDOW_SIZE,
     Allocation,
@@ -17,6 +17,7 @@ from philang.heap import (
     pointer_add,
     pointer_sub,
 )
+from philang.runtime import run_text
 from philang.syntax import _literal_src
 
 from conftest import run_src
@@ -273,10 +274,9 @@ def test_goto_forward_payload_identity(payload):
         g.forward {lit}
         crash.bump
 """
-    from philang.runtime import run_text
 
     crash = Probe()
-    _out, _err, value = run_text(src, extra_builtins={"crash": ("value", crash)})
+    _out, _err, value = run_text(src, extra_builtins={"crash": crash})
     assert value == payload
     assert crash.count == 0
 
@@ -288,7 +288,6 @@ def test_goto_forward_payload_identity(payload):
 @given(st.booleans())
 def test_try_finally_side_effect_on_both_paths(throws):
     from conftest import Probe
-    from philang.runtime import run_text
 
     body = 't "boom" > @' if throws else "1 > @"
     src = f"""\
@@ -301,7 +300,7 @@ def test_try_finally_side_effect_on_both_paths(throws):
     fin.bump
 """
     fin = Probe()
-    _out, _err, value = run_text(src, extra_builtins={"fin": ("value", fin)})
+    _out, _err, value = run_text(src, extra_builtins={"fin": fin})
     assert fin.count == 1
     assert value == (2 if throws else 1)
 
@@ -343,12 +342,11 @@ def test_nested_token_routing(data):
 @given(st.booleans())
 def test_if_single_branch(cond):
     from conftest import Probe
-    from philang.runtime import run_text
 
     lit = "TRUE" if cond else "FALSE"
     src = f"[] > main\n  if {lit} (a.bump) (b.bump) > @\n"
     a, b = Probe(), Probe()
-    run_text(src, extra_builtins={"a": ("value", a), "b": ("value", b)})
+    run_text(src, extra_builtins={"a": a, "b": b})
     assert (a.count, b.count) == ((1, 0) if cond else (0, 1))
 
 
@@ -356,18 +354,17 @@ def test_if_single_branch(cond):
 @given(st.integers(min_value=1, max_value=10))
 def test_memoization_forces_exactly_once(accesses):
     from conftest import Probe
-    from philang.runtime import run_text
 
     steps = "\n".join("    x.add 0" for _ in range(accesses))
     src = f"[] > main\n  probe > x!\n  seq > @\n{steps}\n"
     p = Probe()
-    _out, _err, value = run_text(src, extra_builtins={"probe": ("value", p)})
+    _out, _err, value = run_text(src, extra_builtins={"probe": p})
     assert p.count == 1
     assert value == 1
 
     src_plain = src.replace("x!", "x")
     q = Probe()
-    run_text(src_plain, extra_builtins={"probe": ("value", q)})
+    run_text(src_plain, extra_builtins={"probe": q})
     assert q.count == accesses
 
 
@@ -382,3 +379,53 @@ def test_determinism_every_corpus_entry_twice():
         assert first_value == second_value or (
             type(first_value) is type(second_value)
         ), entry_id
+
+
+# -- fuzz: whatever the input, only a PhilangError leaves a run -----------------
+
+FUZZ_SETTINGS = dict(max_examples=40, deadline=None, derandomize=True)
+FUZZ_BUDGET = 20_000
+FUZZ_TOKENS = (
+    "[", "]", "(", ")", " > ", "@", "^", "&", "Q", ".", "<", "'", "!", "*", ":", "...",
+    " ", "  ", "\n", "x", "f", "main", "seq", "if", "while", "goto", "try", "memory", "cage",
+    "heap", "stdout", "add", "write", "1", "-2", "3.5", "TRUE", '"s"', "01-02", "+import ", "# ",
+)
+CORPUS_IDS = [e.id for e in corpus.list_entries()]
+
+
+def _run_fuzzed(text):
+    try:
+        run_text(text, max_steps=FUZZ_BUDGET)
+    except PhilangError:
+        pass
+
+
+@st.composite
+def mutated_corpus_programs(draw):
+    """A corpus program with a few lines dropped, duplicated or swapped."""
+    lines = corpus.program_text(draw(st.sampled_from(CORPUS_IDS))).splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        j = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("drop", "duplicate", "swap")))
+        if op == "drop":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(j, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        if not lines:
+            break
+    return "\n".join(lines) + "\n"
+
+
+@settings(**FUZZ_SETTINGS)
+@given(st.one_of(st.text(max_size=80), st.lists(st.sampled_from(FUZZ_TOKENS), max_size=60).map("".join)))
+def test_random_text_raises_only_philang_errors(text):
+    _run_fuzzed(text)
+
+
+@settings(**FUZZ_SETTINGS)
+@given(mutated_corpus_programs())
+def test_mutated_corpus_program_raises_only_philang_errors(text):
+    _run_fuzzed(text)

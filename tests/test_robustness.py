@@ -5,7 +5,8 @@ import sys
 import pytest
 
 import philang
-from philang.errors import BudgetExceeded, EvalFault
+from philang.errors import BudgetExceeded, EvalFault, SyntaxFault
+from philang.runtime import Program
 
 from conftest import fault_kind, run_src
 
@@ -232,6 +233,24 @@ def test_deeply_nested_program_parses_and_runs():
     _out, value = run_src("\n".join(lines + ["  " * depth + "42"]) + "\n")
     assert value == 42
     assert sys.getrecursionlimit() == limit
+
+
+def _seq_chain(depth):
+    lines = ["[] > main"] + ["  " * i + "seq" + (" > @" if i == 1 else "") for i in range(1, depth)]
+    return "\n".join(lines + ["  " * depth + "42"]) + "\n"
+
+
+@pytest.mark.parametrize("depth", [1500, 3000])
+def test_too_deeply_nested_lines_are_a_syntax_fault(depth):
+    limit = sys.getrecursionlimit()
+    with pytest.raises(SyntaxFault):
+        Program(_seq_chain(depth))
+    assert sys.getrecursionlimit() == limit
+
+
+def test_too_deeply_nested_parentheses_are_a_syntax_fault():
+    with pytest.raises(SyntaxFault):
+        Program("[] > main\n  " + "(" * 1500 + "1" + ")" * 1500 + " > @\n")
 
 
 def test_import_leaves_the_recursion_limit_alone():

@@ -7,6 +7,7 @@ dispatch was specialized; any change to them is a change of semantics and
 has to be made on purpose.
 """
 
+import hashlib
 import io
 
 import pytest
@@ -42,6 +43,38 @@ CORPUS_STEPS = {
     "mixins": 63,
     "annotations": 118,
     "traceability": 29,
+}
+
+# SHA-256 of the stderr of `trace=True, traceability=True` (the reduction
+# trace plus source-span warnings) per terminating entry. The trace names
+# every run atom and every reduced decoration, so it pins their order.
+CORPUS_TRACE_SHA256 = {
+    "goto-backward": "0f183f5f8b97c49c25ba99d4cdffea6b706b115a2daf107cc024fd0d64d3458b",
+    "goto-forward": "0c0f9eae8ab813912e1bc1104bcdd77719d5a8a95aecb1b458aed34785122608",
+    "goto-complex": "eb248de80a4d084cd3d98c0dd1feeddb9ff223ed57702ddd346f6dc928aa0cb1",
+    "multiple-returns": "a7e715f610edb99716f52b2d32afb416aca5fbeebd8f7533d1f8703ec1e53a27",
+    "pointers-book": "56b7a29c026823fa7df7e40d81e8186fe122df598a4cae8ddf6c13c97a17f4aa",
+    "pointers-code": "99f4b52cbbc61094dd94009e6258dea38dc0f579459016df402470026332431e",
+    "pointers-stack": "a40c41134f8690c836bd1c5f581c7eda9a60dfa7725e4bca6ba08624eb979b12",
+    "procedures": "02b679aca5373f18c98737854b29b1c705c204b662368912f87064a8474b3159",
+    "classes": "08599447d284d76e9ae5eca19affdc5b79d26d9d4e8f422c0f26a44196adb275",
+    "destructors": "5ec12ae9d263fe2622f352560f905a481a85817d464181939d2feec150edb0a0",
+    "exceptions": "088c05b82ca604a094ef10a35304d569407e1ab68663dd0f7ded1d3ff450606d",
+    "exceptions-many": "3cbe22b43c97b2bb822900e0046f5406996b0fed6503433b80b3fe9debe9009e",
+    "anonymous-functions": "02b187343cb0c80db95674efe904d4645a258cf152267f7ea0e1d1ded51b4231",
+    "generators": "0f7d28c9053c843ffb43481dd8743df393b7abe9fcb5072b94159715ca5a9d99",
+    "types": "06a7f8881b6589fc760414ec5dbe5638717c5dbb12a2e9ca5f8cc6728844a896",
+    "reflection-monkey-patching": "f48d96669f39538c732403ec1304809dc1176a60acf224f128cb46ceb9b11f10",
+    "static-methods": "3cf25abee0a63e2a5563fff3d8a66127441d7208883bb6d1e4804866ffe14b7f",
+    "inheritance": "eed634ae9a5a276496e91bd058b50d92d71ba047e6f822c15bd13d93336f7032",
+    "inheritance-prototype": "bc2b5a1a9a9c357038f4fa0385b842278a0fadc7cba447ee8ddab551d272d061",
+    "inheritance-multiple": "a0f4c19886698ef5f364182cde02828e97261ac09592f62d48b9e4f82defe255",
+    "overloading": "7978dd4029b2a8fe951da44bc1aecc2837c990791e3559a3913c1c1b104aa630",
+    "generics": "0b8621aeade168012b3c372d48745a1ff8a8ac11cf3f0f5d3bec47e6d1040154",
+    "templates": "d6ade9bdcdfacb2b4b303f253fb8ea52466706f0c9fd52348b7470ce40909027",
+    "mixins": "a0633d3a7426910c282e99fb41019b107805d9d43fc8e6d3aae9a9ec9b4c4c50",
+    "annotations": "0d33354b9f4bea50636f3ae368bf7084ccefb2c5b41a0dccdd490b94f541ca07",
+    "traceability": "fa6f14541190109a7b95f135fd26d8585fe7c676120acaf2172b94a5fe943f1b",
 }
 
 # the divergent entry runs until this budget is spent; the step that
@@ -163,3 +196,12 @@ def test_stress_program_steps(name):
     program = _program(text, name + ".phi")
     assert program.run() == value
     assert program.interp.steps == steps
+
+
+@pytest.mark.parametrize("entry_id", sorted(CORPUS_STEPS))
+def test_corpus_entry_trace(entry_id):
+    entry = corpus.get_entry(entry_id)
+    program = _program(corpus.program_text(entry_id), entry.program, trace=True, traceability=True)
+    program.run()
+    trace = program.stderr.getvalue()
+    assert hashlib.sha256(trace).hexdigest() == CORPUS_TRACE_SHA256[entry_id]
