@@ -33,9 +33,6 @@ class Term:
     __slots__ = ("span",)
     kind = "term"
 
-    def __init__(self, span=None):
-        self.span = span
-
 
 class Literal(Term):
     """Data literal: int, float, str, bool or bytes."""
@@ -44,7 +41,7 @@ class Literal(Term):
     kind = "data-literal"
 
     def __init__(self, value, span=None):
-        super().__init__(span)
+        self.span = span
         self.value = value
 
     def __repr__(self):
@@ -61,7 +58,7 @@ class Name(Term):
     kind = "name"
 
     def __init__(self, ident, span=None):
-        super().__init__(span)
+        self.span = span
         self.ident = ident
 
     def __repr__(self):
@@ -75,7 +72,7 @@ class Dispatch(Term):
     kind = "dispatch"
 
     def __init__(self, recv, attr, span=None):
-        super().__init__(span)
+        self.span = span
         self.recv = recv
         self.attr = attr
 
@@ -90,7 +87,7 @@ class Application(Term):
     kind = "application"
 
     def __init__(self, head, args, span=None):
-        super().__init__(span)
+        self.span = span
         self.head = head
         self.args = args
 
@@ -116,7 +113,7 @@ class Formation(Term):
     kind = "formation"
 
     def __init__(self, params, variadic, bindings, name=None, span=None):
-        super().__init__(span)
+        self.span = span
         self.params = params
         self.variadic = variadic
         self.bindings = bindings
@@ -156,7 +153,7 @@ class SnapshotRef(Term):
     kind = "snapshot"
 
     def __init__(self, target, span=None):
-        super().__init__(span)
+        self.span = span
         self.target = target
 
     def __repr__(self):
@@ -170,7 +167,7 @@ class Anchor(Term):
     kind = "anchor"
 
     def __init__(self, recv, span=None):
-        super().__init__(span)
+        self.span = span
         self.recv = recv
 
     def __repr__(self):
@@ -184,7 +181,7 @@ class MetaImport(Term):
     kind = "meta-import"
 
     def __init__(self, path, span=None):
-        super().__init__(span)
+        self.span = span
         self.path = path
 
     def __repr__(self):

@@ -242,3 +242,66 @@ def test_span_rendering():
     assert str(span) == "src/main.c:0-2"
     with pytest.raises(AssertionError):
         SourceSpan("f", 3, 1)
+
+
+def test_inline_group_duplicate_binding_rejected():
+    # the second inline group binds `a` again, after the first hoisted it
+    with pytest.raises(SyntaxFault) as e:
+        parse_program("[x] ((x.add 1 > a) > b) (x.add 2 > a) > f\n", "dup.phi")
+    assert str(e.value) == "dup.phi:0: duplicate binding a"
+
+
+def test_inline_group_rebinding_its_own_hoisted_name_rejected():
+    with pytest.raises(SyntaxFault) as e:
+        parse_program("[] ((1 > a) > a) > f\n", "dup.phi")
+    assert str(e.value) == "dup.phi:0: duplicate binding a"
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        # a bad meta line anywhere wins over a fault on an earlier line
+        ('f "oops\n+alias foo\n', "m.phi:1: unsupported meta line '+alias foo'"),
+        ("[] > f\n\tg > h\n  +alias foo\n", "m.phi:2: unsupported meta line '+alias foo'"),
+        ("[] > f\n   g > h\n+import a.b\n", "m.phi:1: indentation of 3 spaces is not a multiple of two"),
+    ],
+)
+def test_meta_lines_are_read_before_any_other_fault(src, message):
+    with pytest.raises(SyntaxFault) as e:
+        parse_program(src, "m.phi")
+    assert str(e.value) == message
+
+
+def test_meta_line_indentation_is_not_checked():
+    terms = parse_program("\t+import a.b\n[] > f\n", "m.phi")
+    assert [type(t) for t in terms] == [MetaImport, Formation]
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("f x y > g h\n", "l.phi:0: trailing tokens starting at ident('h')"),
+        ("f .x.\n", "l.phi:0: trailing tokens starting at dot"),
+        ("[x 1] > f\n", "l.phi:0: expected a parameter name, found number(1)"),
+        ("f > 'a'\n", "l.phi:0: expected a binding name after '>', found string('a')"),
+        ("(f x > a y\n", "l.phi:0: expected rparen, found ident('y')"),
+        ("f ²\n", "l.phi:0: unexpected character '²'"),
+        ("f -²\n", "l.phi:0: unexpected character '-'"),
+        ('f "a\\q"\n', "l.phi:0: bad escape in string literal"),
+        ('f "a\\\\\n', "l.phi:0: unterminated string literal"),
+        ('f "a\\\n', "l.phi:0: bad escape in string literal"),
+    ],
+)
+def test_lexer_and_parser_fault_messages(src, message):
+    with pytest.raises(SyntaxFault) as e:
+        parse_program(src, "l.phi")
+    assert str(e.value) == message
+
+
+def test_prime_follows_an_alphanumeric_or_a_closing_bracket():
+    for src in ("x' > a\n", "1' > a\n", "(f x)' > a\n", "[]' > a\n"):
+        ((_name, _const, term),) = parse_entries(src, "p.phi")
+        assert type(term).__name__ == "SnapshotRef", src
+    # after a space, a quote opens a character string
+    ((_name, _const, term),) = parse_entries("f 'x' > a\n", "p.phi")
+    assert term.args[0].value == "x"

@@ -3,6 +3,7 @@ through the benchmark's own harness, pass their oracles, repeat their step
 counts and leave the allocation history the benchmark reports. Nothing under
 perfbench/ is imported as a package or changed."""
 
+import ast
 import cProfile
 import importlib.util
 import os
@@ -12,6 +13,7 @@ import pytest
 
 import philang
 import philang.corpus
+from philang import parser
 from philang.core import Interpreter
 from philang.heap import HeapStore
 
@@ -44,9 +46,10 @@ def test_small_ops_pass_through_the_harness(workload):
         assert first.history == second.history == HISTORY.get(op.id, 0), op.id
 
 
-def _profiled_stats(op):
+def _profiled_stats(op, phase="run"):
+    """cProfile stats of `Program()` (phase "build") or of `run()`."""
     profile = cProfile.Profile()
-    outcome = harness.execute(philang, op, run_profile=profile)
+    outcome = harness.execute(philang, op, **{phase + "_profile": profile})
     assert op.check(outcome.out, outcome.value, outcome.fault)
     return pstats.Stats(profile).stats
 
@@ -55,7 +58,7 @@ def _key(method, cls, module):
     """The cProfile key of `method`, checked to be the qualified name the
     traced run looks up in `module`."""
     code = method.__code__
-    assert method.__qualname__ == f"{cls}.{code.co_name}"
+    assert method.__qualname__ == (f"{cls}." if cls else "") + code.co_name
     assert os.path.basename(code.co_filename) == module
     return (code.co_filename, code.co_firstlineno, code.co_name)
 
@@ -80,3 +83,27 @@ def test_core_profile_keys_are_found():
     callers = stats[_key(Interpreter.trace_step, "Interpreter", "core.py")][4]
     misses = callers[run_cached][1]
     assert 0 < misses <= stats[run_cached][1]
+
+
+def _layers_parser_phases():
+    """PARSER_PHASES as perfbench/layers.py defines it, read from its source."""
+    with open(os.path.join(PERFBENCH, "layers.py"), encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["PARSER_PHASES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("layers.py defines no PARSER_PHASES")
+
+
+def test_parser_profile_keys_are_found():
+    # the traced run reads parser.lex_ms, parser.forest_ms and parser.block_ms
+    # as the cumulative time of these functions in parser.py
+    phases = _layers_parser_phases()
+    op = min(workloads.corpus_small(philang), key=lambda o: len(o.text))
+    stats = _profiled_stats(op, phase="build")
+    for metric, fn in (("parser.lex_ms", parser._read_lines),
+                       ("parser.forest_ms", parser._build_forest),
+                       ("parser.block_ms", parser._parse_block)):
+        assert phases[metric] == fn.__qualname__
+        entry = stats[_key(fn, None, "parser.py")]
+        assert entry[1] > 0 and entry[3] > 0, metric  # calls, cumulative time

@@ -6,6 +6,7 @@ import pytest
 
 import philang
 from philang.errors import BudgetExceeded, EvalFault, SyntaxFault
+from philang.parser import MAX_NESTING
 from philang.runtime import Program
 
 from conftest import fault_kind, run_src
@@ -251,6 +252,59 @@ def test_too_deeply_nested_lines_are_a_syntax_fault(depth):
 def test_too_deeply_nested_parentheses_are_a_syntax_fault():
     with pytest.raises(SyntaxFault):
         Program("[] > main\n  " + "(" * 1500 + "1" + ")" * 1500 + " > @\n")
+
+
+TOO_DEEP = f"nesting deeper than {MAX_NESTING} levels (indentation plus parentheses)"
+
+
+def test_lines_nested_to_the_budget_parse():
+    # the last line sits at indentation level MAX_NESTING
+    program = Program(_seq_chain(MAX_NESTING))
+    assert program.entries[0][2].span.last == MAX_NESTING
+
+
+def test_lines_nested_past_the_budget_are_a_syntax_fault():
+    with pytest.raises(SyntaxFault) as e:
+        Program(_seq_chain(MAX_NESTING + 1))
+    assert str(e.value) == f"<input>:{MAX_NESTING + 1}: {TOO_DEEP}"
+
+
+def _parens(depth):
+    return "(" * depth + "1" + ")" * depth
+
+
+def _inline_groups(depth):
+    # each formation's inline group holds the next formation
+    return "[] (" * depth + "1" + " > a)" * depth
+
+
+@pytest.mark.parametrize("nest", [_parens, _inline_groups])
+def test_parentheses_nested_to_the_budget_parse(nest):
+    Program(nest(MAX_NESTING) + " > top\n")
+    # on an indented line, the indentation counts against the same budget
+    Program("[] > main\n  " + nest(MAX_NESTING - 1) + " > @\n")
+
+
+@pytest.mark.parametrize("nest", [_parens, _inline_groups])
+def test_parentheses_nested_past_the_budget_are_a_syntax_fault(nest):
+    with pytest.raises(SyntaxFault) as e:
+        Program(nest(MAX_NESTING + 1) + " > top\n")
+    assert str(e.value) == f"<input>:0: {TOO_DEEP}"
+    with pytest.raises(SyntaxFault) as e:
+        Program("[] > main\n  " + nest(MAX_NESTING) + " > @\n")
+    assert str(e.value) == f"<input>:1: {TOO_DEEP}"
+
+
+def test_nesting_budget_does_not_move_with_the_recursion_limit():
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(20_000)
+    try:
+        for text in (_seq_chain(MAX_NESTING + 1), _parens(MAX_NESTING + 1) + " > top\n"):
+            with pytest.raises(SyntaxFault) as e:
+                Program(text)
+            assert TOO_DEEP in str(e.value)
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_import_leaves_the_recursion_limit_alone():
