@@ -5,7 +5,8 @@ Everything impure lives here; the object core only knows how to run an
 AtomApp and how to ask a native object for attributes, a datum, or a step.
 The core is handed this module as its registry of native entry points
 (`while_atom`, `SnapshotHandle`, `anchor_atom`, `data_attr`, `data_home`,
-`ArrayObject`) and the `vocabulary` namespace of global names.
+`ArrayObject`, and `NUMBER_OPS`, `MemoryCell` and `CELL_WRITE`, from which
+it builds `r.op x` in place) and the `vocabulary` namespace of global names.
 """
 
 from . import heap as heapmod
@@ -232,7 +233,7 @@ class MemoryCell(NativeObject):
 
 def _run_memory_write(interp, cell, args):
     _arity(args, 1, "memory.write")
-    value = interp.dataize(args[0].force(interp))
+    value = interp.force_datum(args[0])
     cell.value = value
     cell.written = True
     return value
@@ -363,17 +364,19 @@ def _run_array_make(interp, _bound, args):
 # -- data operations ----------------------------------------------------------
 
 
-def _num(v, what):
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise EvalFault("type-error", f"{what} needs a number, got {v!r}")
-    return v
+def _not_a_number(op, b):
+    return EvalFault("type-error", f"{op} needs a number, got {b!r}")
 
 
+# The receiver `a` of arithmetic and comparison is an exact int or float
+# (data_attr and the core bind these runners to nothing else), and the
+# argument `b`, read by force_datum, is of an exact data type.
 def _run_arith(op):
-    def run(interp, left, args):
+    def run(interp, a, args):
         _arity(args, 1, op)
-        a = _num(left, op)
-        b = _num(interp.dataize(args[0].force(interp)), op)
+        b = interp.force_datum(args[0])
+        if type(b) is not int and type(b) is not float:
+            raise _not_a_number(op, b)
         if op == "add":
             r = a + b
         elif op == "sub":
@@ -383,14 +386,14 @@ def _run_arith(op):
         else:  # div
             if b == 0:
                 raise EvalFault("division-by-zero", f"{a} divided by zero")
-            if isinstance(a, int) and isinstance(b, int):
+            if type(a) is int and type(b) is int:
                 r = abs(a) // abs(b)
                 if (a < 0) != (b < 0):
                     r = -r
             else:
                 r = a / b
-        if isinstance(a, int) and isinstance(b, int):
-            return _check_int64(r)
+        if type(a) is int and type(b) is int:
+            return r if INT64_MIN <= r <= INT64_MAX else _check_int64(r)
         return float(r)
 
     return run
@@ -410,16 +413,23 @@ def _run_eq(interp, left, args):
 
 
 def _run_cmp(op):
-    def run(interp, left, args):
+    def run(interp, a, args):
         _arity(args, 1, op)
-        a = _num(left, op)
-        b = _num(interp.dataize(args[0].force(interp)), op)
+        b = interp.force_datum(args[0])
+        if type(b) is not int and type(b) is not float:
+            raise _not_a_number(op, b)
         return a < b if op == "less" else a > b
 
     return run
 
 
 _CMP = {op: _run_cmp(op) for op in ("less", "greater")}
+
+# The runners the core builds applications of in place, without resolving
+# or applying (Interpreter.evaluate): what data_attr gives an exact int or
+# float for `r.op x`, and what a MemoryCell gives for `r.write x`.
+NUMBER_OPS = {**_ARITH, **_CMP}
+CELL_WRITE = _run_memory_write
 
 
 def _run_as_string(interp, left, args):

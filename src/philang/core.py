@@ -27,6 +27,20 @@ cases first, count their step inline instead of calling tick(), and reach
 a formation's bindings through its binding index. Only run_cached calls
 trace_step when tracing is off; the traced benchmark counts its misses
 that way.
+
+Three node sequences are fused into one Python frame (superinstructions,
+guarded per call site): evaluate builds `r.op x` for a name r that looks
+up to an exact int or float, or a written memory cell holding one, with op
+an arithmetic or comparison atom, and `r.write x` on a memory cell, as the
+AtomApp the general path would reach through soft_resolve and apply;
+force_datum, the argument read of those atoms, evaluates a literal or
+name and runs an atom application in its own frame. They keep the clock exact by one rule: tick the steps the
+general path would tick, in its order, with the budget checked before
+each is counted (k at once only when all k fit; after a lookup, which can
+tick, from self.steps as it then stands). When tracing is on, a guard
+misses or the budget is too short, they continue on the general path from
+the value already in hand, without ticking again and without a Python
+frame more per nesting level than the general path takes.
 """
 
 import sys
@@ -244,7 +258,8 @@ class Interpreter:
 
     `atoms` is the registry of native entry points the core calls directly
     (the `atoms` module): `while_atom`, `SnapshotHandle`, `anchor_atom`,
-    `data_attr`, `data_home` and `ArrayObject`. `vocabulary` is the
+    `data_attr`, `data_home` and `ArrayObject`, and for the fused `r.op x`
+    `NUMBER_OPS`, `MemoryCell` and `CELL_WRITE`. `vocabulary` is the
     namespace that bare global names and `Q.<name>` resolve in.
     """
 
@@ -258,6 +273,9 @@ class Interpreter:
         self.trace = trace
         self.depth = 0
         self.root = None
+        self._number_ops = atoms.NUMBER_OPS
+        self._cell = atoms.MemoryCell
+        self._cell_write = atoms.CELL_WRITE
 
     # -- plumbing -----------------------------------------------------------
 
@@ -313,7 +331,47 @@ class Interpreter:
         if t is Name:
             return self.lookup(term.ident, owner)
         if t is Application:
-            head = self.evaluate(term.head, owner)
+            head = term.head
+            if (
+                type(head) is Dispatch
+                and type(head.recv) is Name
+                and head.attr != "while"
+                and not self.trace
+                and steps + 2 <= self.max_steps
+            ):
+                # `r.op args` in this frame: the ticks of evaluating the
+                # head and `r`, then the lookup, which can tick too
+                self.steps = steps + 2
+                obj = self.lookup(head.recv.ident, owner)
+                attr = head.attr
+                args = term.args
+                if len(args) == 1:
+                    fn = None
+                    name = attr
+                    bound = obj
+                    k = 2
+                    tv = type(obj)
+                    if tv is int or tv is float:
+                        fn = self._number_ops.get(attr)
+                    elif tv is self._cell:
+                        if attr == "write":
+                            fn = self._cell_write
+                            name = "memory-write"
+                        elif obj.written:
+                            bound = obj.value
+                            tv = type(bound)
+                            if tv is int or tv is float:
+                                fn = self._number_ops.get(attr)
+                                k = 3
+                    # k ticks: resolving op (once more through a cell) and applying
+                    if fn is not None and self.steps + k <= self.max_steps:
+                        self.steps += k
+                        return AtomApp(name, fn, bound, [Thunk(args[0], owner)])
+                found = self.soft_resolve(obj, attr)
+                if found is _MISS:
+                    raise self._no_attribute(obj, attr)
+                return self.apply(found, [Thunk(a, owner) for a in args])
+            head = self.evaluate(head, owner)
             return self.apply(head, [Thunk(a, owner) for a in term.args])
         if t is Dispatch:
             if term.attr == "while":
@@ -335,10 +393,6 @@ class Interpreter:
             raise EvalFault("meta-eval", "+import lines are not evaluable objects")
         raise AssertionError(f"unknown term {term!r}")
 
-    def evaluate_name(self, ident):
-        """Evaluate a top-level name in the root scope."""
-        return self.lookup(ident, self.root)
-
     def lookup(self, ident, owner):
         if ident in _SPECIAL:
             return self.special(ident, owner, bare=True)
@@ -351,10 +405,13 @@ class Interpreter:
                         "partial-application",
                         f"parameter {ident!r} of {node.label()} was never bound",
                     )
-                th = node._attrs.get(ident) or node.attr_thunk(ident, self)
+                th = node._attrs.get(ident)
                 if th is None:
-                    node = node.lexical
-                    continue
+                    term = node.term
+                    if ident not in (term._index or term.index()):
+                        node = node.lexical
+                        continue
+                    th = node.attr_thunk(ident, self)
             if th.has_obj:
                 return th.obj
             return th.force(self)
@@ -579,6 +636,57 @@ class Interpreter:
                 continue
             return _plain_datum(obj, "reduce")
 
+    def force_datum(self, th):
+        """`self.dataize(th.force(self))`, the argument read of arithmetic,
+        comparison and `memory.write`, in one frame for the common
+        arguments when tracing is off: a literal or a name is evaluated
+        here, and an atom application (a fused `r.op x` above all) is run
+        here, ticking as evaluate, deep_reduce and run_cached would. Any
+        other argument, or a budget too short to tick ahead, goes on
+        through deep_reduce from where it stands, so a nesting level costs
+        no more frames than dataize would."""
+        if th.has_obj:
+            obj = th.obj
+        elif th.memo or th.forcing or self.trace:
+            obj = th.force(self)
+        else:
+            term = th.term
+            t = type(term)
+            th.forcing = True
+            try:
+                if (t is Literal or t is Name) and self.steps < self.max_steps:
+                    self.steps += 1
+                    obj = term.value if t is Literal else self.lookup(term.ident, th.owner)
+                else:
+                    obj = self.evaluate(term, th.owner)
+            finally:
+                th.forcing = False
+            th.obj = obj
+            th.has_obj = True
+        if not self.trace:
+            t = type(obj)
+            if t is AtomApp and not obj.has_result and not obj.running and self.steps + 2 <= self.max_steps:
+                # the ticks of deep_reduce and run_cached; depth only indents a trace
+                self.steps += 2
+                obj.running = True
+                try:
+                    result = obj.fn(self, obj.bound, obj.args)
+                finally:
+                    obj.running = False
+                obj.result = result
+                obj.has_result = True
+                obj = result
+                t = type(obj)
+            if self.steps < self.max_steps:
+                if t in _EXACT_DATA:
+                    self.steps += 1
+                    return obj
+                if t is self._cell and obj.written and type(obj.value) in _EXACT_DATA:
+                    self.steps += 1
+                    return obj.value
+        r = self.deep_reduce(obj)
+        return r if type(r) in _EXACT_DATA else self._read_datum(r, False)
+
     def dataize(self, obj, abstract=False):
         """Reduce, then read the normal form as a datum (a cell is read, and
         what it holds is dataized in turn). With `abstract`, as for a
@@ -588,8 +696,10 @@ class Interpreter:
         if abstract and self.trace and is_datum(obj):
             self.trace_step(obj)
         r = self.deep_reduce(obj)
-        if is_datum(r):
-            return r
+        return r if type(r) in _EXACT_DATA else self._read_datum(r, abstract)
+
+    def _read_datum(self, r, abstract):
+        """The datum of r, a normal form that is not one."""
         if isinstance(r, NativeObject):
             probe = r.native_dataize(self)
             if probe is not _MISS:

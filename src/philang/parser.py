@@ -513,28 +513,34 @@ def attach_source(term, warn=None):
     """Give every formation a synthetic `source` attribute with its span.
 
     A user-supplied `source` binding wins; the synthetic one is suppressed
-    and `warn` (if given) is called with a message.
+    and `warn` (if given) is called with a message. Formations are visited
+    in post-order (inner ones first, siblings in source order) with an
+    explicit stack, so no nesting depth reaches Python's recursion limit.
     """
-    if isinstance(term, Formation):
-        for _n, bterm, _c in list(term.bindings):
-            attach_source(bterm, warn)
-        if term.binding("source") is not None:
-            if warn:
-                warn(
-                    f"{term.span}: formation already binds 'source'; "
-                    "synthetic location attribute suppressed"
-                )
+    stack = [(term, False)]
+    while stack:
+        node, children_done = stack.pop()
+        if children_done:
+            if node.binding("source") is not None:
+                if warn:
+                    warn(
+                        f"{node.span}: formation already binds 'source'; "
+                        "synthetic location attribute suppressed"
+                    )
+            else:
+                node.bindings.append(("source", Literal(str(node.span), span=node.span), False))
+                node._index = None
+            continue
+        if isinstance(node, Formation):
+            stack.append((node, True))
+            children = [bterm for _n, bterm, _c in node.bindings]
+        elif isinstance(node, Application):
+            children = [node.head, *node.args]
+        elif isinstance(node, (Dispatch, Anchor)):
+            children = [node.recv]
+        elif isinstance(node, SnapshotRef):
+            children = [node.target]
         else:
-            term.bindings.append(("source", Literal(str(term.span), span=term.span), False))
-            term._index = None
-    elif isinstance(term, Application):
-        attach_source(term.head, warn)
-        for arg in term.args:
-            attach_source(arg, warn)
-    elif isinstance(term, Dispatch):
-        attach_source(term.recv, warn)
-    elif isinstance(term, Anchor):
-        attach_source(term.recv, warn)
-    elif isinstance(term, SnapshotRef):
-        attach_source(term.target, warn)
+            continue
+        stack.extend((child, False) for child in reversed(children))
     return term

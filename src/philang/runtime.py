@@ -105,13 +105,7 @@ class Program:
 
     def run(self):
         """Dataize the entry object; returns the final value."""
-        return self._dataize(self.entry_target())
-
-    def dataize_name(self, name):
-        """Dataize a named top-level object."""
-        return self._dataize(Name(name))
-
-    def _dataize(self, target):
+        target = self.entry_target()
         try:
             with _recursion_headroom():
                 obj = self.interp.evaluate(target, self.root)

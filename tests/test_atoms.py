@@ -532,7 +532,7 @@ def test_array_each_empty():
     interp = program.interp
     arr = ArrayObject([])
     each = interp.resolve(arr, "each")
-    body = interp.evaluate_name("body")
+    body = interp.lookup("body", interp.root)
     interp.deep_reduce(interp.apply(each, [Thunk.of(body)]))
     assert eff.count == 0
 
@@ -597,7 +597,7 @@ EOLANG_PATHS = {
 
 
 def _under_eolang(interp, *path):
-    node = interp.resolve(interp.resolve(interp.evaluate_name("Q"), "org"), "eolang")
+    node = interp.resolve(interp.resolve(interp.lookup("Q", interp.root), "org"), "eolang")
     for name in path:
         node = interp.resolve(node, name)
     return node
@@ -607,16 +607,16 @@ def _under_eolang(interp, *path):
 def test_global_is_the_same_atom_bare_and_under_org_eolang(name):
     program, _out, _err = make_program("[] > main\n  42 > @\n")
     interp = program.interp
-    bare = interp.evaluate_name(name)
+    bare = interp.lookup(name, interp.root)
     assert _under_eolang(interp, *EOLANG_PATHS[name]) is bare
-    assert interp.resolve(interp.evaluate_name("Q"), name) is bare
+    assert interp.resolve(interp.lookup("Q", interp.root), name) is bare
 
 
 @pytest.mark.parametrize("path", [("memory",), ("gray", "cage")])
 def test_cells_are_fresh_on_every_mention(path):
     program, _out, _err = make_program("[] > main\n  42 > @\n")
     interp = program.interp
-    bare = [interp.evaluate_name(path[-1]) for _ in range(2)]
+    bare = [interp.lookup(path[-1], interp.root) for _ in range(2)]
     nested = [_under_eolang(interp, *path) for _ in range(2)]
     cells = bare + nested
     assert len({id(c) for c in cells}) == 4
@@ -629,5 +629,5 @@ def test_extra_builtin_shadows_a_global():
     probe = Probe()
     program, _out, _err = make_program("[] > main\n  seq.peek > @\n",
                                        extra_builtins={"seq": probe})
-    assert program.interp.evaluate_name("seq") is probe
+    assert program.interp.lookup("seq", program.interp.root) is probe
     assert program.run() == 0

@@ -29,7 +29,7 @@ def test_resolve_through_decoratee():
 def test_resolve_missing_decoratee_attr():
     program, _out, _err = make_program("[] > f\n  memory > i\n")
     with pytest.raises(EvalFault) as e:
-        program.interp.resolve(program.interp.evaluate_name("f"), "@")
+        program.interp.resolve(program.interp.lookup("f", program.interp.root), "@")
     assert fault_kind(e) == "attribute-not-found"
 
 
@@ -105,7 +105,7 @@ def test_eval_expr_helper():
 def test_dataize_stuck_term():
     program, _out, _err = make_program("[] > f\n  memory > i\n[] > g\n  f > @\n")
     with pytest.raises(EvalFault) as e:
-        program.interp.dataize(program.interp.evaluate_name("g"))
+        program.interp.dataize(program.interp.lookup("g", program.interp.root))
     assert fault_kind(e) == "missing-decoratee"
 
 
@@ -157,8 +157,8 @@ def test_decoration_transparency():
 """
     program, _out, _err = make_program(src)
     interp = program.interp
-    deco = interp.evaluate_name("deco")
-    base = interp.evaluate_name("base")
+    deco = interp.lookup("deco", interp.root)
+    base = interp.lookup("base", interp.root)
     assert interp.dataize(interp.resolve(deco, "one")) == interp.dataize(
         interp.resolve(base, "one")
     )
@@ -192,7 +192,7 @@ def test_snapshot_of_datum_and_idempotence():
     assert snapshot(42) == 42
     assert snapshot("x") == "x"
     program, _out, _err = make_program("[] > f\n  7 > x\n")
-    f = program.interp.evaluate_name("f")
+    f = program.interp.lookup("f", program.interp.root)
     s1 = snapshot(f)
     s2 = snapshot(s1)
     assert isinstance(s1, Closure) and isinstance(s2, Closure)

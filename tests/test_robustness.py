@@ -236,6 +236,19 @@ def test_deeply_nested_program_parses_and_runs():
     assert sys.getrecursionlimit() == limit
 
 
+def test_traceability_on_a_long_dispatch_chain_keeps_the_outcome():
+    # 5,000 dispatches on one line nest 5,000 terms; attaching source spans
+    # walks them without recursing, so only the run itself runs out of stack
+    text = "[] > main\n  x" + ".b" * 5000 + " > @\n"
+    outcomes = []
+    for traceability in (False, True):
+        with pytest.raises(EvalFault) as e:
+            run_src(text, traceability=traceability)
+        outcomes.append((fault_kind(e), str(e.value)))
+    assert outcomes[0] == outcomes[1]
+    assert outcomes[0][0] == "deep-recursion"
+
+
 def _seq_chain(depth):
     lines = ["[] > main"] + ["  " * i + "seq" + (" > @" if i == 1 else "") for i in range(1, depth)]
     return "\n".join(lines + ["  " * depth + "42"]) + "\n"

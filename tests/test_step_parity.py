@@ -9,11 +9,12 @@ has to be made on purpose.
 
 import hashlib
 import io
+import random
 
 import pytest
 
 from philang import corpus
-from philang.errors import BudgetExceeded
+from philang.errors import BudgetExceeded, PhilangError
 from philang.runtime import Program
 
 CORPUS_STEPS = {
@@ -205,3 +206,81 @@ def test_corpus_entry_trace(entry_id):
     program.run()
     trace = program.stderr.getvalue()
     assert hashlib.sha256(trace).hexdigest() == CORPUS_TRACE_SHA256[entry_id]
+
+
+# Budgets drawn per program for the sweep below: the budget decides where a
+# run stops, so every budget is a different place to stop a fused path.
+SWEEP_BUDGETS = 250
+
+
+def _outcome(text, file, budget, trace):
+    program = _program(text, file, max_steps=budget, trace=trace)
+    try:
+        result = ("value", program.run())
+    except PhilangError as e:
+        result = (type(e).__name__, str(e))
+    return result, program.interp.steps, program.interp.stdout.getvalue()
+
+
+def _sweep_case(name):
+    """(text, file, highest budget): past a STRESS program's step count, or
+    up to three times the divergent entry's budget."""
+    if name in STRESS:
+        text, steps, _value = STRESS[name]
+        return text, name + ".phi", steps + 1
+    entry = corpus.get_entry(name)
+    return corpus.program_text(name), entry.program, 3 * DIVERGENT_BUDGET
+
+
+@pytest.mark.parametrize("name", sorted(STRESS) + ["goto-complex-divergent"])
+def test_budget_sweep_matches_the_traced_run(name):
+    # A traced run takes no fused path, so it is the generic reference: at
+    # every budget the untraced run must stop at the same step, with the
+    # same outcome and the same output.
+    text, file, top = _sweep_case(name)
+    for budget in random.Random(name).sample(range(1, top + 1), SWEEP_BUDGETS):
+        fused = _outcome(text, file, budget, trace=False)
+        generic = _outcome(text, file, budget, trace=True)
+        assert fused == generic, f"budget {budget}"
+
+
+# Near misses of the fused `r.op x` shapes, each with the outcome and step
+# count of the general path: the fused path must give way without a step or
+# a fault message moving.
+GUARD_MISSES = {
+    "cell-unknown-attr": (
+        "[] > main\n  memory > m\n  seq > @\n    m.write 1\n    m.wnite 2\n",
+        ("EvalFault", "attribute-not-found: memory has no attribute 'wnite'"), 24),
+    "cell-holding-bool": (
+        "[] > main\n  memory > m\n  seq > @\n    m.write TRUE\n    m.add 1\n",
+        ("EvalFault", "attribute-not-found: memory has no attribute 'add'"), 24),
+    "cell-unwritten": (
+        "[] > main\n  memory > m\n  m.add 1 > @\n",
+        ("EvalFault", "memory-unset: memory read before the first write"), 8),
+    "int-if": (
+        "[] > main\n  5 > x\n  x.if 1 2 > @\n",
+        ("EvalFault", "non-boolean-condition: if condition reduced to 5"), 8),
+    "int-add-string": (
+        '[] > main\n  5 > x\n  x.add "s" > @\n',
+        ("EvalFault", "type-error: add needs a number, got 's'"), 13),
+    "bool-less": (
+        "[] > main\n  TRUE > b\n  b.less 1 > @\n",
+        ("EvalFault", "attribute-not-found: True has no attribute 'less'"), 8),
+    "cell-write-faulting-arg": (
+        "[] > main\n  memory > m\n  m.write (m.add 1) > @\n",
+        ("EvalFault", "memory-unset: memory read before the first write"), 15),
+    "float-times-cell": (
+        "[] > main\n  memory > m\n  2.5 > x\n  seq > @\n    m.write 4\n    x.mul m\n",
+        ("value", 10.0), 31),
+    "two-arguments": (
+        "[x y] > pair\n  x.sub y > @\n[] > main\n  pair > p\n  1 > one\n  one.add (p 5 3) > @\n",
+        ("value", 3), 30),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARD_MISSES))
+def test_guard_miss_matches_the_traced_run(name):
+    text, outcome, steps = GUARD_MISSES[name]
+    fused = _outcome(text, name + ".phi", 1000, trace=False)
+    assert fused[:2] == (outcome, steps)
+    assert fused == _outcome(text, name + ".phi", 1000, trace=True)
