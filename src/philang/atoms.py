@@ -5,8 +5,10 @@ Everything impure lives here; the object core only knows how to run an
 AtomApp and how to ask a native object for attributes, a datum, or a step.
 The core is handed this module as its registry of native entry points
 (`while_atom`, `SnapshotHandle`, `anchor_atom`, `data_attr`, `data_home`,
-`ArrayObject`, and `NUMBER_OPS`, `MemoryCell` and `CELL_WRITE`, from which
-it builds `r.op x` in place) and the `vocabulary` namespace of global names.
+`ArrayObject`, and `DATA_OPS`, `MemoryCell` and `CELL_WRITE`, from which it
+builds `recv.op args` in place) and the `vocabulary` namespace of global
+names. `DATA_OPS` is the one table of the operations of data: per exact
+data type, the runner of each attribute that data_attr gives as an AtomFn.
 """
 
 from . import heap as heapmod
@@ -399,9 +401,6 @@ def _run_arith(op):
     return run
 
 
-_ARITH = {op: _run_arith(op) for op in ("add", "sub", "mul", "div")}
-
-
 def _run_eq(interp, left, args):
     _arity(args, 1, "eq")
     right = interp.dataize(args[0].force(interp))
@@ -423,15 +422,6 @@ def _run_cmp(op):
     return run
 
 
-_CMP = {op: _run_cmp(op) for op in ("less", "greater")}
-
-# The runners the core builds applications of in place, without resolving
-# or applying (Interpreter.evaluate): what data_attr gives an exact int or
-# float for `r.op x`, and what a MemoryCell gives for `r.write x`.
-NUMBER_OPS = {**_ARITH, **_CMP}
-CELL_WRITE = _run_memory_write
-
-
 def _run_as_string(interp, left, args):
     _arity(args, 0, "as-string")
     return to_text(left)
@@ -439,15 +429,12 @@ def _run_as_string(interp, left, args):
 
 def _run_as_int(interp, left, args):
     _arity(args, 0, "as-int")
-    if isinstance(left, bool):
-        raise EvalFault("type-error", "as-int is not defined on booleans")
-    if isinstance(left, int):
-        return left
-    if isinstance(left, float):
+    # data_attr binds it to an exact int, float or bytes only
+    if type(left) is float:
         return _check_int64(int(left))
-    if isinstance(left, bytes):
+    if type(left) is bytes:
         return heapmod.decode_int(left)
-    raise EvalFault("type-error", f"as-int is not defined on {left!r}")
+    return left
 
 
 def _run_starts(interp, left, args):
@@ -458,34 +445,33 @@ def _run_starts(interp, left, args):
     return left.startswith(prefix)
 
 
+# The native operations of each exact data type, by attribute name: what
+# data_attr gives as an AtomFn bound to the datum, and what the core builds
+# an application of in place for `r.op args` (Interpreter.evaluate).
+_NUMBER_OPS = {"eq": _run_eq, **{op: _run_arith(op) for op in ("add", "sub", "mul", "div")},
+               **{op: _run_cmp(op) for op in ("less", "greater")}}
+DATA_OPS = {
+    int: _NUMBER_OPS,
+    float: _NUMBER_OPS,
+    bool: {"if": _run_if_bool, "eq": _run_eq},
+    str: {"starts": _run_starts, "eq": _run_eq},
+    bytes: {"eq": _run_eq},
+}
+# what a MemoryCell gives for `r.write x`, built in place the same way
+CELL_WRITE = _run_memory_write
+
+
 def data_attr(interp, value, name):
-    """Native attributes of terminal data."""
-    if name == "eq":
-        return AtomFn("eq", _run_eq, bound=value)
+    """Native attributes of terminal data; `value` is of an exact data type."""
+    fn = DATA_OPS[type(value)].get(name)
+    if fn is not None:
+        return AtomFn(name, fn, bound=value)
     if name == "as-string":
         return AtomApp("as-string", _run_as_string, value, [])
+    if name == "as-int" and type(value) in (int, float, bytes):
+        return AtomApp("as-int", _run_as_int, value, [])
     if name == "if":
-        if isinstance(value, bool):
-            return AtomFn("if", _run_if_bool, bound=value)
         raise EvalFault("non-boolean-condition", f"if condition reduced to {value!r}")
-    if isinstance(value, bool):
-        return _MISS
-    if isinstance(value, (int, float)):
-        if name in _ARITH:
-            return AtomFn(name, _ARITH[name], bound=value)
-        if name in _CMP:
-            return AtomFn(name, _CMP[name], bound=value)
-        if name == "as-int":
-            return AtomApp("as-int", _run_as_int, value, [])
-        return _MISS
-    if isinstance(value, str):
-        if name == "starts":
-            return AtomFn("starts", _run_starts, bound=value)
-        return _MISS
-    if isinstance(value, bytes):
-        if name == "as-int":
-            return AtomApp("as-int", _run_as_int, value, [])
-        return _MISS
     return _MISS
 
 

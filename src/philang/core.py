@@ -28,19 +28,24 @@ a formation's bindings through its binding index. Only run_cached calls
 trace_step when tracing is off; the traced benchmark counts its misses
 that way.
 
-Three node sequences are fused into one Python frame (superinstructions,
-guarded per call site): evaluate builds `r.op x` for a name r that looks
-up to an exact int or float, or a written memory cell holding one, with op
-an arithmetic or comparison atom, and `r.write x` on a memory cell, as the
-AtomApp the general path would reach through soft_resolve and apply;
-force_datum, the argument read of those atoms, evaluates a literal or
-name and runs an atom application in its own frame. They keep the clock exact by one rule: tick the steps the
-general path would tick, in its order, with the budget checked before
-each is counted (k at once only when all k fit; after a lookup, which can
-tick, from self.steps as it then stands). When tracing is on, a guard
-misses or the budget is too short, they continue on the general path from
-the value already in hand, without ticking again and without a Python
-frame more per nesting level than the general path takes.
+Two node sequences are fused into one Python frame (superinstructions,
+guarded per call site). evaluate builds `recv.op args` for any receiver
+term and any number of arguments: it looks a name receiver up, or
+evaluates any other receiver, runs the atom applications the value is (as
+soft_resolve would), and when the value is a datum whose type has op in
+`atoms.DATA_OPS`, or a written memory cell holding one, or a memory cell
+and op is `write`, it returns the AtomApp the general path would reach
+through soft_resolve and apply; the guard is one hit in that per-type
+table. force_datum, the argument read of arithmetic, comparison and
+`memory.write`, evaluates a literal or name and runs an atom application
+in its own frame. They keep the clock exact by one rule: tick the steps
+the general path would tick, in its order, with the budget checked before
+each is counted (k at once only when all k fit; after a lookup or an
+evaluation, which can tick, from self.steps as it then stands). When
+tracing is on, a guard misses or the budget is too short, they continue on
+the general path from the value already in hand, without ticking again
+and without a Python frame more per nesting level than the general path
+takes.
 """
 
 import sys
@@ -258,9 +263,10 @@ class Interpreter:
 
     `atoms` is the registry of native entry points the core calls directly
     (the `atoms` module): `while_atom`, `SnapshotHandle`, `anchor_atom`,
-    `data_attr`, `data_home` and `ArrayObject`, and for the fused `r.op x`
-    `NUMBER_OPS`, `MemoryCell` and `CELL_WRITE`. `vocabulary` is the
-    namespace that bare global names and `Q.<name>` resolve in.
+    `data_attr`, `data_home` and `ArrayObject`, and for the fused
+    `recv.op args` the per-type table `DATA_OPS`, `MemoryCell` and
+    `CELL_WRITE`. `vocabulary` is the namespace that bare global names and
+    `Q.<name>` resolve in.
     """
 
     def __init__(self, atoms, vocabulary, max_steps=1_000_000, stdout=None, stderr=None, trace=False):
@@ -273,7 +279,7 @@ class Interpreter:
         self.trace = trace
         self.depth = 0
         self.root = None
-        self._number_ops = atoms.NUMBER_OPS
+        self._data_ops = atoms.DATA_OPS
         self._cell = atoms.MemoryCell
         self._cell_write = atoms.CELL_WRITE
 
@@ -332,47 +338,54 @@ class Interpreter:
             return self.lookup(term.ident, owner)
         if t is Application:
             head = term.head
-            if (
-                type(head) is Dispatch
-                and type(head.recv) is Name
-                and head.attr != "while"
-                and not self.trace
-                and steps + 2 <= self.max_steps
-            ):
-                # `r.op args` in this frame: the ticks of evaluating the
-                # head and `r`, then the lookup, which can tick too
-                self.steps = steps + 2
-                obj = self.lookup(head.recv.ident, owner)
+            args = term.args
+            if type(head) is Dispatch and head.attr != "while" and not self.trace and steps < self.max_steps:
+                # `recv.op args` in this frame: the ticks of evaluating the
+                # head and a name receiver, then the lookup, which can tick
+                # too; any other receiver is evaluated after the head's tick
+                recv = head.recv
+                if type(recv) is Name and steps + 2 <= self.max_steps:
+                    self.steps = steps + 2
+                    obj = self.lookup(recv.ident, owner)
+                else:
+                    self.steps = steps + 1
+                    obj = self.evaluate(recv, owner)
+                # soft_resolve's ticks and runs through atom applications; a
+                # fault names the receiver as it was evaluated
+                v = obj
+                while type(v) is AtomApp and self.steps < self.max_steps:
+                    self.steps += 1
+                    v = self.run_cached(v)
                 attr = head.attr
-                args = term.args
-                if len(args) == 1:
-                    fn = None
-                    name = attr
-                    bound = obj
-                    k = 2
-                    tv = type(obj)
-                    if tv is int or tv is float:
-                        fn = self._number_ops.get(attr)
-                    elif tv is self._cell:
-                        if attr == "write":
-                            fn = self._cell_write
-                            name = "memory-write"
-                        elif obj.written:
-                            bound = obj.value
-                            tv = type(bound)
-                            if tv is int or tv is float:
-                                fn = self._number_ops.get(attr)
-                                k = 3
-                    # k ticks: resolving op (once more through a cell) and applying
-                    if fn is not None and self.steps + k <= self.max_steps:
-                        self.steps += k
+                name = attr
+                bound = v
+                tv = type(v)
+                fn = None
+                k = 2
+                if tv is self._cell:
+                    if attr == "write":
+                        fn = self._cell_write
+                        name = "memory-write"
+                    elif v.written:
+                        bound = v.value
+                        tv = type(bound)
+                        k = 3
+                if fn is None:
+                    ops = self._data_ops.get(tv)
+                    if ops is not None:
+                        fn = ops.get(attr)
+                # k ticks: resolving op (once more through a cell) and applying
+                if fn is not None and self.steps + k <= self.max_steps:
+                    self.steps += k
+                    if len(args) == 1:
                         return AtomApp(name, fn, bound, [Thunk(args[0], owner)])
-                found = self.soft_resolve(obj, attr)
+                    return AtomApp(name, fn, bound, [Thunk(a, owner) for a in args])
+                found = self.soft_resolve(v, attr)
                 if found is _MISS:
                     raise self._no_attribute(obj, attr)
                 return self.apply(found, [Thunk(a, owner) for a in args])
             head = self.evaluate(head, owner)
-            return self.apply(head, [Thunk(a, owner) for a in term.args])
+            return self.apply(head, [Thunk(a, owner) for a in args])
         if t is Dispatch:
             if term.attr == "while":
                 return self.atoms.while_atom(Thunk(term.recv, owner))
@@ -468,12 +481,6 @@ class Interpreter:
             self.deep_reduce(th.force(self))
 
     # -- resolution ---------------------------------------------------------
-
-    def resolve(self, obj, name):
-        found = self.soft_resolve(obj, name)
-        if found is _MISS:
-            raise self._no_attribute(obj, name)
-        return found
 
     def _no_attribute(self, obj, name):
         return EvalFault("attribute-not-found", f"{self.describe(obj)} has no attribute {name!r}")

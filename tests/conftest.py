@@ -53,6 +53,14 @@ def run_src(text, **kwargs):
     return out, value
 
 
+def resolve(interp, obj, name):
+    """obj's attribute `name`, or an attribute-not-found fault."""
+    found = interp.soft_resolve(obj, name)
+    if found is _MISS:
+        raise interp._no_attribute(obj, name)
+    return found
+
+
 def make_program(text, **kwargs):
     out = io.BytesIO()
     err = io.BytesIO()

@@ -3,7 +3,7 @@ import pytest
 from philang.errors import BudgetExceeded, EvalFault
 from philang.runtime import run_text
 
-from conftest import fault_kind, make_program, run_src
+from conftest import fault_kind, make_program, resolve, run_src
 
 
 # -- seq ----------------------------------------------------------------------
@@ -531,7 +531,7 @@ def test_array_each_empty():
                                        extra_builtins={"eff": eff})
     interp = program.interp
     arr = ArrayObject([])
-    each = interp.resolve(arr, "each")
+    each = resolve(interp, arr, "each")
     body = interp.lookup("body", interp.root)
     interp.deep_reduce(interp.apply(each, [Thunk.of(body)]))
     assert eff.count == 0
@@ -597,9 +597,9 @@ EOLANG_PATHS = {
 
 
 def _under_eolang(interp, *path):
-    node = interp.resolve(interp.resolve(interp.lookup("Q", interp.root), "org"), "eolang")
+    node = resolve(interp, resolve(interp, interp.lookup("Q", interp.root), "org"), "eolang")
     for name in path:
-        node = interp.resolve(node, name)
+        node = resolve(interp, node, name)
     return node
 
 
@@ -609,7 +609,7 @@ def test_global_is_the_same_atom_bare_and_under_org_eolang(name):
     interp = program.interp
     bare = interp.lookup(name, interp.root)
     assert _under_eolang(interp, *EOLANG_PATHS[name]) is bare
-    assert interp.resolve(interp.lookup("Q", interp.root), name) is bare
+    assert resolve(interp, interp.lookup("Q", interp.root), name) is bare
 
 
 @pytest.mark.parametrize("path", [("memory",), ("gray", "cage")])

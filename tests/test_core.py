@@ -6,7 +6,7 @@ from philang.core import Closure, NativeObject, snapshot
 from philang.errors import EvalFault
 from philang.runtime import run_text
 
-from conftest import fault_kind, make_program, run_src
+from conftest import fault_kind, make_program, resolve, run_src
 
 
 def test_resolve_through_decoratee():
@@ -29,7 +29,7 @@ def test_resolve_through_decoratee():
 def test_resolve_missing_decoratee_attr():
     program, _out, _err = make_program("[] > f\n  memory > i\n")
     with pytest.raises(EvalFault) as e:
-        program.interp.resolve(program.interp.lookup("f", program.interp.root), "@")
+        resolve(program.interp, program.interp.lookup("f", program.interp.root), "@")
     assert fault_kind(e) == "attribute-not-found"
 
 
@@ -159,14 +159,14 @@ def test_decoration_transparency():
     interp = program.interp
     deco = interp.lookup("deco", interp.root)
     base = interp.lookup("base", interp.root)
-    assert interp.dataize(interp.resolve(deco, "one")) == interp.dataize(
-        interp.resolve(base, "one")
+    assert interp.dataize(resolve(interp, deco, "one")) == interp.dataize(
+        resolve(interp, base, "one")
     )
-    assert interp.dataize(interp.resolve(deco, "three")) == interp.dataize(
-        interp.resolve(base, "three")
+    assert interp.dataize(resolve(interp, deco, "three")) == interp.dataize(
+        resolve(interp, base, "three")
     )
-    assert interp.dataize(interp.resolve(deco, "two")) == 20
-    assert interp.dataize(interp.resolve(base, "two")) == 2
+    assert interp.dataize(resolve(interp, deco, "two")) == 20
+    assert interp.dataize(resolve(interp, base, "two")) == 2
 
 
 def test_snapshot_of_cage_survives_overwrite():
@@ -196,7 +196,7 @@ def test_snapshot_of_datum_and_idempotence():
     s1 = snapshot(f)
     s2 = snapshot(s1)
     assert isinstance(s1, Closure) and isinstance(s2, Closure)
-    assert program.interp.dataize(program.interp.resolve(s2, "x")) == 7
+    assert program.interp.dataize(resolve(program.interp, s2, "x")) == 7
 
 
 def test_snapshot_before_anchor_is_error():

@@ -6,6 +6,7 @@ perfbench/ is imported as a package or changed."""
 import ast
 import cProfile
 import importlib.util
+import io
 import os
 import pstats
 
@@ -13,9 +14,11 @@ import pytest
 
 import philang
 import philang.corpus
-from philang import parser
+from philang import atoms, parser
 from philang.core import Interpreter
 from philang.heap import HeapStore
+
+from test_step_parity import STRESS
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 
@@ -83,6 +86,21 @@ def test_core_profile_keys_are_found():
     callers = stats[_key(Interpreter.trace_step, "Interpreter", "core.py")][4]
     misses = callers[run_cached][1]
     assert 0 < misses <= stats[run_cached][1]
+
+
+def test_recursion_dispatches_data_in_the_fused_frame():
+    # `n.less 1`, `if.` on it and `n.add ...` on a parameter that holds the
+    # caller's unrun `n.sub 1` are built in evaluate's fused frame, so only
+    # `(sum 20).add ...`, whose receiver is an object, resolves in general
+    text, steps, value = STRESS["recursion-20"]
+    program = philang.Program(text, stdout=io.BytesIO(), stderr=io.BytesIO())
+    profile = cProfile.Profile()
+    assert profile.runcall(program.run) == value
+    assert program.interp.steps == steps
+    stats = pstats.Stats(profile).stats
+    for method, cls, module in ((atoms.data_attr, None, "atoms.py"),
+                                (Interpreter.soft_resolve, "Interpreter", "core.py")):
+        assert stats.get(_key(method, cls, module), (0, 0))[1] <= 1, method.__qualname__
 
 
 def _layers_parser_phases():

@@ -222,31 +222,36 @@ def _outcome(text, file, budget, trace):
     return result, program.interp.steps, program.interp.stdout.getvalue()
 
 
+# Corpus entries that dispatch `.eq`, `.starts` or `if.` on an application.
+SWEEP_ENTRIES = ["anonymous-functions", "exceptions-many", "generators", "goto-forward", "types"]
+
+
 def _sweep_case(name):
-    """(text, file, highest budget): past a STRESS program's step count, or
-    up to three times the divergent entry's budget."""
+    """(text, file, highest budget): past a STRESS program's or a corpus
+    entry's step count, or up to three times the divergent entry's budget."""
     if name in STRESS:
         text, steps, _value = STRESS[name]
         return text, name + ".phi", steps + 1
     entry = corpus.get_entry(name)
-    return corpus.program_text(name), entry.program, 3 * DIVERGENT_BUDGET
+    top = CORPUS_STEPS[name] + 1 if name in CORPUS_STEPS else 3 * DIVERGENT_BUDGET
+    return corpus.program_text(name), entry.program, top
 
 
-@pytest.mark.parametrize("name", sorted(STRESS) + ["goto-complex-divergent"])
+@pytest.mark.parametrize("name", sorted(STRESS) + ["goto-complex-divergent"] + SWEEP_ENTRIES)
 def test_budget_sweep_matches_the_traced_run(name):
     # A traced run takes no fused path, so it is the generic reference: at
     # every budget the untraced run must stop at the same step, with the
     # same outcome and the same output.
     text, file, top = _sweep_case(name)
-    for budget in random.Random(name).sample(range(1, top + 1), SWEEP_BUDGETS):
+    for budget in random.Random(name).sample(range(1, top + 1), min(SWEEP_BUDGETS, top)):
         fused = _outcome(text, file, budget, trace=False)
         generic = _outcome(text, file, budget, trace=True)
         assert fused == generic, f"budget {budget}"
 
 
-# Near misses of the fused `r.op x` shapes, each with the outcome and step
-# count of the general path: the fused path must give way without a step or
-# a fault message moving.
+# Near misses and receivers of the fused `recv.op args` shapes, each with the
+# outcome and step count of the general path: the fused path must give way
+# without a step or a fault message moving.
 GUARD_MISSES = {
     "cell-unknown-attr": (
         "[] > main\n  memory > m\n  seq > @\n    m.write 1\n    m.wnite 2\n",
@@ -275,6 +280,39 @@ GUARD_MISSES = {
     "two-arguments": (
         "[x y] > pair\n  x.sub y > @\n[] > main\n  pair > p\n  1 > one\n  one.add (p 5 3) > @\n",
         ("value", 3), 30),
+    "app-if-on-int": (
+        "[] > main\n  5 > x\n  (x.add 1).if 1 2 > @\n",
+        ("EvalFault", "non-boolean-condition: if condition reduced to 6"), 16),
+    "app-recv-faults": (
+        "[] > main\n  memory > m\n  (m.add 1).less 2 > @\n",
+        ("EvalFault", "memory-unset: memory read before the first write"), 10),
+    "app-recv-native": (
+        "[] > main\n  (heap.malloc 8).pointer 0 8 > @\n",
+        ("value", 0), 23),
+    "cell-bool-if": (
+        "[] > main\n  memory > m\n  seq > @\n    m.write TRUE\n    m.if 1 2\n",
+        ("value", 1), 31),
+    "cell-string-eq": (
+        '[] > main\n  memory > m\n  seq > @\n    m.write "a"\n    m.eq "a"\n',
+        ("value", True), 31),
+    "if-one-arg": (
+        "[] > main\n  5 > x\n  (x.less 1).if 1 > @\n",
+        ("EvalFault", "arity: if expects 2 argument(s), got 1"), 19),
+    "app-starts": (
+        '[] > main\n  5 > x\n  (x.as-string).starts "5" > @\n',
+        ("value", True), 18),
+    "param-app-twice": (
+        "[n] > f\n  n.add n > @\n[] > main\n  f (2.add 3) > @\n",
+        ("value", 10), 28),
+    "app-amp": (
+        '[] > main\n  5 > x\n  (x.add 1).& > h\n  h.subtype-of "Int" > @\n',
+        ("value", True), 27),
+    "bool-app-eq": (
+        "[] > main\n  5 > x\n  (x.less 9).eq TRUE > @\n",
+        ("value", True), 22),
+    "app-unknown-attr": (
+        "[] > main\n  5 > x\n  (x.add 1).nope 2 > @\n",
+        ("EvalFault", "attribute-not-found: add has no attribute 'nope'"), 16),
 }
 
 
