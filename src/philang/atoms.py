@@ -4,12 +4,17 @@
 Everything impure lives here; the object core only knows how to run an
 AtomApp and how to ask a native object for attributes, a datum, or a step.
 The core is handed this module as its registry of native entry points
-(`while_atom`, `SnapshotHandle`, `anchor_atom`, `data_attr`, `data_home`,
-`ArrayObject`, and `DATA_OPS`, `MemoryCell` and `CELL_WRITE`, from which it
-builds `recv.op args` in place) and the `vocabulary` namespace of global
-names. `DATA_OPS` is the one table of the operations of data: per exact
-data type, the runner of each attribute that data_attr gives as an AtomFn.
+(`while_atom`, `SnapshotHandle`, `anchor_atom`, `data_attr`, `HOMES`,
+`ArrayObject`, and `OPS` and `MemoryCell`, from which it builds `r.op args`
+in place) and the `vocabulary` namespace of global names. `OPS` is the one
+table of atom operations: per exact type of receiver, data or native, the
+label and runner of each attribute that is an atom bound to the receiver.
+A native object's `native_attr` gives only what is not an atom bound to
+it: a datum such as `address`, a jump signal, a namespace member, or what a
+cage or snapshot passes on to its content.
 """
+
+import math
 
 from . import heap as heapmod
 from .core import (
@@ -137,7 +142,7 @@ def _run_if_bool(interp, cond, args):
 
 def _run_if3(interp, _bound, args):
     _arity(args, 3, "if")
-    cond = interp.dataize(args[0].force(interp))
+    cond = interp.force_datum(args[0])
     if not isinstance(cond, bool):
         raise EvalFault("non-boolean-condition", f"if condition reduced to {cond!r}")
     chosen = args[1] if cond else args[2]
@@ -222,11 +227,6 @@ class MemoryCell(NativeObject):
         self.value = None
         self.written = False
 
-    def native_attr(self, interp, name):
-        if name == "write":
-            return AtomFn("memory-write", _run_memory_write, bound=self)
-        return _MISS
-
     def native_dataize(self, interp):
         if not self.written:
             raise EvalFault("memory-unset", "memory read before the first write")
@@ -249,8 +249,6 @@ class CageSlot(NativeObject):
         self.stored = None
 
     def native_attr(self, interp, name):
-        if name == "write":
-            return AtomFn("cage-write", _run_cage_write, bound=self)
         if self.stored is None:
             raise EvalFault("cage-empty", f"cage read ({name}) before the first write")
         return interp.soft_resolve(self.stored, name)
@@ -332,19 +330,13 @@ class ArrayObject(NativeObject):
         self.items = list(items)
 
     def native_attr(self, interp, name):
-        if name == "get":
-            return AtomFn("array-get", _run_array_get, bound=self)
-        if name == "each":
-            return AtomFn("array-each", _run_array_each, bound=self)
-        if name == "length":
-            return len(self.items)
-        return _MISS
+        return len(self.items) if name == "length" else _MISS
 
 
 def _run_array_get(interp, arr, args):
     _arity(args, 1, "array.get")
-    index = interp.dataize(args[0].force(interp))
-    if not isinstance(index, int) or isinstance(index, bool):
+    index = interp.force_datum(args[0])
+    if type(index) is not int:
         raise EvalFault("bad-index", f"array index must be an integer, got {index!r}")
     if not (0 <= index < len(arr.items)):
         raise EvalFault("index-out-of-range", f"index {index} outside 0..{len(arr.items) - 1}")
@@ -403,7 +395,7 @@ def _run_arith(op):
 
 def _run_eq(interp, left, args):
     _arity(args, 1, "eq")
-    right = interp.dataize(args[0].force(interp))
+    right = interp.force_datum(args[0])
     if isinstance(left, bool) or isinstance(right, bool):
         return isinstance(left, bool) and isinstance(right, bool) and left == right
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
@@ -431,7 +423,9 @@ def _run_as_int(interp, left, args):
     _arity(args, 0, "as-int")
     # data_attr binds it to an exact int, float or bytes only
     if type(left) is float:
-        return _check_int64(int(left))
+        if left != left:
+            raise EvalFault("not-a-number", "nan has no integer value")
+        return _check_int64(left if math.isinf(left) else int(left))
     if type(left) is bytes:
         return heapmod.decode_int(left)
     return left
@@ -439,33 +433,17 @@ def _run_as_int(interp, left, args):
 
 def _run_starts(interp, left, args):
     _arity(args, 1, "starts")
-    prefix = interp.dataize(args[0].force(interp))
+    prefix = interp.force_datum(args[0])
     if not isinstance(left, str) or not isinstance(prefix, str):
         raise EvalFault("type-error", "starts compares strings")
     return left.startswith(prefix)
 
 
-# The native operations of each exact data type, by attribute name: what
-# data_attr gives as an AtomFn bound to the datum, and what the core builds
-# an application of in place for `r.op args` (Interpreter.evaluate).
-_NUMBER_OPS = {"eq": _run_eq, **{op: _run_arith(op) for op in ("add", "sub", "mul", "div")},
-               **{op: _run_cmp(op) for op in ("less", "greater")}}
-DATA_OPS = {
-    int: _NUMBER_OPS,
-    float: _NUMBER_OPS,
-    bool: {"if": _run_if_bool, "eq": _run_eq},
-    str: {"starts": _run_starts, "eq": _run_eq},
-    bytes: {"eq": _run_eq},
-}
-# what a MemoryCell gives for `r.write x`, built in place the same way
-CELL_WRITE = _run_memory_write
-
-
 def data_attr(interp, value, name):
     """Native attributes of terminal data; `value` is of an exact data type."""
-    fn = DATA_OPS[type(value)].get(name)
-    if fn is not None:
-        return AtomFn(name, fn, bound=value)
+    hit = OPS[type(value)].get(name)
+    if hit is not None:
+        return AtomFn(hit[0], hit[1], bound=value)
     if name == "as-string":
         return AtomApp("as-string", _run_as_string, value, [])
     if name == "as-int" and type(value) in (int, float, bytes):
@@ -487,19 +465,14 @@ class DataHome(NativeObject):
     def label(self):
         return f"{self.type_name}-home"
 
-    def native_attr(self, interp, name):
-        if name == "subtype-of":
-            return AtomFn("subtype-of", _run_subtype, bound=self.type_name)
-        return _MISS
 
-
-def _run_subtype(interp, type_name, args):
+def _run_subtype(interp, home, args):
     _arity(args, 1, "subtype-of")
-    asked = interp.dataize(args[0].force(interp))
-    return asked == type_name
+    return interp.force_datum(args[0]) == home.type_name
 
 
-_HOMES = {
+# the home of each exact data type, which `x.&` walks to after x
+HOMES = {
     bool: DataHome("Bool"),
     int: DataHome("Int"),
     float: DataHome("Float"),
@@ -508,16 +481,12 @@ _HOMES = {
 }
 
 
-def data_home(value):
-    return _HOMES[type(value)]
-
-
 # -- I/O and text -------------------------------------------------------------
 
 
 def _run_stdout(interp, _bound, args):
     _arity(args, 1, "stdout")
-    text = to_text(interp.dataize(args[0].force(interp)))
+    text = to_text(interp.force_datum(args[0]))
     interp.out(text)
     return True
 
@@ -525,7 +494,7 @@ def _run_stdout(interp, _bound, args):
 def _run_sprintf(interp, _bound, args):
     if not args:
         raise EvalFault("arity", "sprintf needs a format string")
-    fmt = interp.dataize(args[0].force(interp))
+    fmt = interp.force_datum(args[0])
     if not isinstance(fmt, str):
         raise EvalFault("bad-format", f"sprintf format must be a string, got {fmt!r}")
     rest = list(args[1:])
@@ -546,7 +515,7 @@ def _run_sprintf(interp, _bound, args):
             continue
         if not rest:
             raise EvalFault("bad-format", f"no argument left for %{verb}")
-        value = interp.dataize(rest.pop(0).force(interp))
+        value = interp.force_datum(rest.pop(0))
         if verb == "d":
             if isinstance(value, bool) or not isinstance(value, int):
                 raise EvalFault("bad-format", f"%d needs an integer, got {value!r}")
@@ -574,19 +543,10 @@ class HeapObject(NativeObject):
     def __init__(self, store):
         self.store = store
 
-    def native_attr(self, interp, name):
-        if name == "malloc":
-            return AtomFn("malloc", _run_malloc, bound=self)
-        if name == "free":
-            return AtomFn("free", _run_free, bound=self)
-        if name == "pointer":
-            return AtomFn("heap-pointer", _run_heap_pointer, bound=self)
-        return _MISS
-
 
 def _want_int(interp, thunk, what):
-    v = interp.dataize(thunk.force(interp))
-    if isinstance(v, bool) or not isinstance(v, int):
+    v = interp.force_datum(thunk)
+    if type(v) is not int:
         raise EvalFault("type-error", f"{what} needs an integer, got {v!r}")
     return v
 
@@ -622,11 +582,6 @@ class AllocObj(NativeObject):
         self.store = store
         self.alloc = alloc
 
-    def native_attr(self, interp, name):
-        if name == "pointer":
-            return AtomFn("alloc-pointer", _run_alloc_pointer, bound=self)
-        return _MISS
-
     def native_dataize(self, interp):
         return self.alloc.base
 
@@ -646,13 +601,7 @@ class PtrObj(NativeObject):
         self.pv = pv
 
     def native_attr(self, interp, name):
-        if name in _PTR_SHIFT:
-            return AtomFn("pointer-" + name, _PTR_SHIFT[name], bound=self)
-        if name == "block":
-            return AtomFn("block", _run_block, bound=self)
-        if name == "address":
-            return self.pv.address
-        return _MISS
+        return self.pv.address if name == "address" else _MISS
 
     def native_dataize(self, interp):
         return self.pv.address
@@ -665,9 +614,6 @@ def _run_ptr_shift(sign):
         return PtrObj(ptr_obj.pv.shifted(sign * k))
 
     return run
-
-
-_PTR_SHIFT = {"add": _run_ptr_shift(1), "sub": _run_ptr_shift(-1)}
 
 
 def _run_block(interp, ptr_obj, args):
@@ -686,11 +632,7 @@ class ViewObj(NativeObject):
         self.decoder_thunk = decoder_thunk
 
     def native_attr(self, interp, name):
-        if name == "write":
-            return AtomFn("block-write", _run_block_write, bound=self)
-        if name == "address":
-            return self.view.address
-        return _MISS
+        return self.view.address if name == "address" else _MISS
 
     def native_dataize(self, interp):
         data = heapmod.block_read_bytes(self.view)
@@ -700,9 +642,36 @@ class ViewObj(NativeObject):
 
 def _run_block_write(interp, view_obj, args):
     _arity(args, 1, "block.write")
-    value = interp.dataize(args[0].force(interp))
+    value = interp.force_datum(args[0])
     heapmod.block_write(view_obj.view, value)
     return True
+
+
+# -- the op table ---------------------------------------------------------------
+
+# Per exact receiver type, each attribute that is an atom bound to the
+# receiver, as (label, runner): data_attr and soft_resolve make an AtomFn of
+# it, and Interpreter.evaluate builds the application of `r.op args` from it
+# in place.
+_NUMBER_OPS = {"eq": ("eq", _run_eq), **{op: (op, _run_arith(op)) for op in ("add", "sub", "mul", "div")},
+               **{op: (op, _run_cmp(op)) for op in ("less", "greater")}}
+OPS = {
+    int: _NUMBER_OPS,
+    float: _NUMBER_OPS,
+    bool: {"if": ("if", _run_if_bool), "eq": ("eq", _run_eq)},
+    str: {"starts": ("starts", _run_starts), "eq": ("eq", _run_eq)},
+    bytes: {"eq": ("eq", _run_eq)},
+    MemoryCell: {"write": ("memory-write", _run_memory_write)},
+    CageSlot: {"write": ("cage-write", _run_cage_write)},
+    ArrayObject: {"get": ("array-get", _run_array_get), "each": ("array-each", _run_array_each)},
+    DataHome: {"subtype-of": ("subtype-of", _run_subtype)},
+    HeapObject: {"malloc": ("malloc", _run_malloc), "free": ("free", _run_free),
+                 "pointer": ("heap-pointer", _run_heap_pointer)},
+    AllocObj: {"pointer": ("alloc-pointer", _run_alloc_pointer)},
+    PtrObj: {"add": ("pointer-add", _run_ptr_shift(1)), "sub": ("pointer-sub", _run_ptr_shift(-1)),
+             "block": ("block", _run_block)},
+    ViewObj: {"write": ("block-write", _run_block_write)},
+}
 
 
 # -- the global vocabulary -----------------------------------------------------

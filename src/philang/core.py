@@ -32,12 +32,13 @@ Two node sequences are fused into one Python frame (superinstructions,
 guarded per call site). evaluate builds `recv.op args` for any receiver
 term and any number of arguments: it looks a name receiver up, or
 evaluates any other receiver, runs the atom applications the value is (as
-soft_resolve would), and when the value is a datum whose type has op in
-`atoms.DATA_OPS`, or a written memory cell holding one, or a memory cell
-and op is `write`, it returns the AtomApp the general path would reach
-through soft_resolve and apply; the guard is one hit in that per-type
-table. force_datum, the argument read of arithmetic, comparison and
-`memory.write`, evaluates a literal or name and runs an atom application
+soft_resolve would), and when the value's exact type has op in
+`atoms.OPS` (data, and the native cells, heap objects, pointers, blocks,
+arrays and data homes), or the value is a written memory cell whose datum
+has op there, it returns the AtomApp the general path would reach through
+soft_resolve and apply; the guard is one hit in that per-type table.
+force_datum, the argument read of every atom that dataizes one, evaluates
+a literal or name, runs an atom application and reads a native normal form
 in its own frame. They keep the clock exact by one rule: tick the steps
 the general path would tick, in its order, with the budget checked before
 each is counted (k at once only when all k fit; after a lookup or an
@@ -63,6 +64,7 @@ from .syntax import (
 )
 
 _MISS = object()
+_NO_OPS = {}
 
 _DATA_TYPES = (bool, int, float, str, bytes)
 _EXACT_DATA = frozenset(_DATA_TYPES)
@@ -206,6 +208,9 @@ class NativeObject:
         return f"<{self.label}>"
 
 
+_NORMAL_FORM = NativeObject.native_step
+
+
 class AtomFn(NativeObject):
     """A native function; copying it (Interpreter.apply) yields an AtomApp."""
 
@@ -263,10 +268,10 @@ class Interpreter:
 
     `atoms` is the registry of native entry points the core calls directly
     (the `atoms` module): `while_atom`, `SnapshotHandle`, `anchor_atom`,
-    `data_attr`, `data_home` and `ArrayObject`, and for the fused
-    `recv.op args` the per-type table `DATA_OPS`, `MemoryCell` and
-    `CELL_WRITE`. `vocabulary` is the namespace that bare global names and
-    `Q.<name>` resolve in.
+    `data_attr`, `HOMES` and `ArrayObject`, the per-type op table `OPS`
+    that soft_resolve and the fused `recv.op args` read, and `MemoryCell`.
+    `vocabulary` is the namespace that bare global names and `Q.<name>`
+    resolve in.
     """
 
     def __init__(self, atoms, vocabulary, max_steps=1_000_000, stdout=None, stderr=None, trace=False):
@@ -279,9 +284,8 @@ class Interpreter:
         self.trace = trace
         self.depth = 0
         self.root = None
-        self._data_ops = atoms.DATA_OPS
+        self._ops = atoms.OPS
         self._cell = atoms.MemoryCell
-        self._cell_write = atoms.CELL_WRITE
 
     # -- plumbing -----------------------------------------------------------
 
@@ -357,29 +361,20 @@ class Interpreter:
                     self.steps += 1
                     v = self.run_cached(v)
                 attr = head.attr
-                name = attr
                 bound = v
-                tv = type(v)
-                fn = None
                 k = 2
-                if tv is self._cell:
-                    if attr == "write":
-                        fn = self._cell_write
-                        name = "memory-write"
-                    elif v.written:
-                        bound = v.value
-                        tv = type(bound)
-                        k = 3
-                if fn is None:
-                    ops = self._data_ops.get(tv)
-                    if ops is not None:
-                        fn = ops.get(attr)
+                hit = self._ops.get(type(v), _NO_OPS).get(attr)
+                if hit is None and type(v) is self._cell and v.written:
+                    # op of the datum the cell holds, resolved one tick later
+                    bound = v.value
+                    hit = self._ops[type(bound)].get(attr)
+                    k = 3
                 # k ticks: resolving op (once more through a cell) and applying
-                if fn is not None and self.steps + k <= self.max_steps:
+                if hit is not None and self.steps + k <= self.max_steps:
                     self.steps += k
                     if len(args) == 1:
-                        return AtomApp(name, fn, bound, [Thunk(args[0], owner)])
-                    return AtomApp(name, fn, bound, [Thunk(a, owner) for a in args])
+                        return AtomApp(hit[0], hit[1], bound, [Thunk(args[0], owner)])
+                    return AtomApp(hit[0], hit[1], bound, [Thunk(a, owner) for a in args])
                 found = self.soft_resolve(v, attr)
                 if found is _MISS:
                     raise self._no_attribute(obj, attr)
@@ -525,6 +520,9 @@ class Interpreter:
                 continue
             if t not in _EXACT_DATA:
                 if isinstance(obj, NativeObject):
+                    hit = self._ops.get(t, _NO_OPS).get(name)
+                    if hit is not None:
+                        return AtomFn(hit[0], hit[1], obj)
                     found = obj.native_attr(self, name)
                     if found is not _MISS:
                         return found
@@ -544,7 +542,7 @@ class Interpreter:
         if isinstance(obj, Closure):
             return obj.lexical
         if is_datum(obj):
-            return self.atoms.data_home(obj)
+            return self.atoms.HOMES[type(obj)]
         return None
 
     # -- application --------------------------------------------------------
@@ -644,14 +642,15 @@ class Interpreter:
             return _plain_datum(obj, "reduce")
 
     def force_datum(self, th):
-        """`self.dataize(th.force(self))`, the argument read of arithmetic,
-        comparison and `memory.write`, in one frame for the common
-        arguments when tracing is off: a literal or a name is evaluated
-        here, and an atom application (a fused `r.op x` above all) is run
-        here, ticking as evaluate, deep_reduce and run_cached would. Any
-        other argument, or a budget too short to tick ahead, goes on
-        through deep_reduce from where it stands, so a nesting level costs
-        no more frames than dataize would."""
+        """`self.dataize(th.force(self))`, the argument read of every atom
+        that dataizes one, in one frame for the common arguments when
+        tracing is off: a literal or a name is evaluated here, an atom
+        application (a fused `r.op x` above all) is run here, and a cell or
+        a native normal form (a block view, say) is read here, ticking as
+        evaluate, deep_reduce and run_cached would. Any other argument, or a
+        budget too short to tick ahead, goes on through deep_reduce from
+        where it stands, so a nesting level costs no more frames than
+        dataize would."""
         if th.has_obj:
             obj = th.obj
         elif th.memo or th.forcing or self.trace:
@@ -688,9 +687,13 @@ class Interpreter:
                 if t in _EXACT_DATA:
                     self.steps += 1
                     return obj
-                if t is self._cell and obj.written and type(obj.value) in _EXACT_DATA:
+                if t is self._cell and obj.written:
                     self.steps += 1
                     return obj.value
+                if isinstance(obj, NativeObject) and t.native_step is _NORMAL_FORM:
+                    # deep_reduce's one step on a native normal form, then its read
+                    self.steps += 1
+                    return self._read_datum(obj, False)
         r = self.deep_reduce(obj)
         return r if type(r) in _EXACT_DATA else self._read_datum(r, False)
 

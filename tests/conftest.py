@@ -61,6 +61,15 @@ def resolve(interp, obj, name):
     return found
 
 
+def float_inf():
+    """`2.0` times a 51-digit literal eight times, overflowed to inf: the
+    lexer has no exponent form."""
+    text = "2.0"
+    for _ in range(8):
+        text = f"({text}.mul 1{'0' * 50}.0)"
+    return text
+
+
 def make_program(text, **kwargs):
     out = io.BytesIO()
     err = io.BytesIO()

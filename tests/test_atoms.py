@@ -3,7 +3,7 @@ import pytest
 from philang.errors import BudgetExceeded, EvalFault
 from philang.runtime import run_text
 
-from conftest import fault_kind, make_program, resolve, run_src
+from conftest import fault_kind, float_inf, make_program, resolve, run_src
 
 
 # -- seq ----------------------------------------------------------------------
@@ -457,6 +457,17 @@ def test_int64_overflow():
     with pytest.raises(EvalFault) as e:
         run_src("9223372036854775807.add 1\n")
     assert fault_kind(e) == "int64-overflow"
+
+
+@pytest.mark.parametrize(
+    "expr, kind",
+    [("{inf}", "int64-overflow"), ("(0.0.sub {inf})", "int64-overflow"),
+     ("({inf}.sub {inf})", "not-a-number")],
+)
+def test_as_int_of_an_infinite_or_nan_float_is_a_fault(expr, kind):
+    with pytest.raises(EvalFault) as e:
+        run_src(expr.format(inf=float_inf()) + ".as-int\n")
+    assert fault_kind(e) == kind
 
 
 def test_sprintf():

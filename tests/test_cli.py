@@ -3,6 +3,8 @@ import sys
 
 from importlib import resources
 
+from conftest import float_inf
+
 
 def corpus_path(entry_id, name="program.phi"):
     return str(resources.files("philang") / "corpus" / entry_id / name)
@@ -81,6 +83,17 @@ def test_runtime_error_exit_one_distinct_diagnostics(tmp_path):
         assert needle in err, (name, err)
         seen.add(needle)
     assert len(seen) == len(cases)
+
+
+def test_as_int_of_an_infinite_or_nan_float_exits_one(tmp_path):
+    for expr, kind in ((float_inf(), b"int64-overflow"),
+                       (f"({float_inf()}.sub {float_inf()})", b"not-a-number")):
+        f = tmp_path / "nan.phi"
+        f.write_text(expr + ".as-int\n")
+        code, out, err = cli("run", str(f))
+        assert code == 1, err
+        assert out == b""
+        assert err.startswith(b"error: " + kind) and b"Traceback" not in err
 
 
 def test_divergent_corpus_program_exit_three():

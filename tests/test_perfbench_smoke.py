@@ -103,6 +103,21 @@ def test_recursion_dispatches_data_in_the_fused_frame():
         assert stats.get(_key(method, cls, module), (0, 0))[1] <= 1, method.__qualname__
 
 
+def test_heap_dispatches_native_ops_in_the_fused_frame():
+    # malloc, pointer, block, write and free are built in evaluate's fused
+    # frame and their arguments read by force_datum, so soft_resolve is left
+    # with `v.as-int` in the decoder and `acc.as-string`, and dataize with
+    # the decoder's reads, the `while` conditions and the result
+    text, steps, value = STRESS["heap-30"]
+    program = philang.Program(text, stdout=io.BytesIO(), stderr=io.BytesIO())
+    profile = cProfile.Profile()
+    assert profile.runcall(program.run) == value
+    assert program.interp.steps == steps
+    stats = pstats.Stats(profile).stats
+    for method, most in ((Interpreter.soft_resolve, 61), (Interpreter.dataize, 93)):
+        assert stats.get(_key(method, "Interpreter", "core.py"), (0, 0))[1] <= most, method.__qualname__
+
+
 def _layers_parser_phases():
     """PARSER_PHASES as perfbench/layers.py defines it, read from its source."""
     with open(os.path.join(PERFBENCH, "layers.py"), encoding="utf-8") as fh:

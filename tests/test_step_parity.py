@@ -222,8 +222,11 @@ def _outcome(text, file, budget, trace):
     return result, program.interp.steps, program.interp.stdout.getvalue()
 
 
-# Corpus entries that dispatch `.eq`, `.starts` or `if.` on an application.
-SWEEP_ENTRIES = ["anonymous-functions", "exceptions-many", "generators", "goto-forward", "types"]
+# Corpus entries that dispatch `.eq`, `.starts` or `if.` on an application,
+# and entries that dispatch heap, pointer, block, cage and array ops.
+SWEEP_ENTRIES = ["anonymous-functions", "exceptions-many", "generators", "goto-forward", "types",
+                 "classes", "pointers-book", "pointers-code", "pointers-stack",
+                 "reflection-monkey-patching"]
 
 
 def _sweep_case(name):
@@ -313,6 +316,29 @@ GUARD_MISSES = {
     "app-unknown-attr": (
         "[] > main\n  5 > x\n  (x.add 1).nope 2 > @\n",
         ("EvalFault", "attribute-not-found: add has no attribute 'nope'"), 16),
+    "pointer-address-applied": (
+        "[] > main\n  heap.malloc 8 > a\n  a.pointer 16 8 > first\n  first.address 1 > @\n",
+        ("EvalFault", "not-applicable: a data value (16) cannot take arguments"), 28),
+    "block-add": (
+        "[v] > int64\n  v.as-int > @\n[] > main\n  heap.malloc 8 > a\n"
+        "  (a.pointer 0 8).block 8 int64 > x\n  seq > @\n    x.write 41\n    x.add 1\n",
+        ("value", 42), 71),
+    "heap-unknown-attr": (
+        "[] > main\n  heap.nope 1 > @\n",
+        ("EvalFault", "attribute-not-found: heap has no attribute 'nope'"), 7),
+    "cage-delegates": (
+        "[] > point\n  [y] > shift\n    y.add 5 > @\n[] > main\n  cage > c\n"
+        "  seq > @\n    c.write point\n    c.shift 1\n",
+        ("value", 6), 39),
+    "array-length": (
+        "[] > main\n  array 1 2 3 > arr\n  (arr.length).add (arr.get 1) > @\n",
+        ("value", 5), 31),
+    "goto-token-forward": (
+        "[] > main\n  goto > @\n    [g]\n      g.forward 1 > @\n",
+        ("value", 1), 21),
+    "add-a-jump": (
+        "[] > main\n  goto > @\n    [g]\n      1.add (g.forward 5) > @\n",
+        ("value", 5), 28),
 }
 
 
