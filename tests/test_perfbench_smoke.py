@@ -88,19 +88,24 @@ def test_core_profile_keys_are_found():
     assert 0 < misses <= stats[run_cached][1]
 
 
-def test_recursion_dispatches_data_in_the_fused_frame():
-    # `n.less 1`, `if.` on it and `n.add ...` on a parameter that holds the
-    # caller's unrun `n.sub 1` are built in evaluate's fused frame, so only
-    # `(sum 20).add ...`, whose receiver is an object, resolves in general
-    text, steps, value = STRESS["recursion-20"]
+def _stress_calls(name):
+    """Calls per (method, class, module) in one profiled run of STRESS[name]."""
+    text, steps, value = STRESS[name]
     program = philang.Program(text, stdout=io.BytesIO(), stderr=io.BytesIO())
     profile = cProfile.Profile()
     assert profile.runcall(program.run) == value
     assert program.interp.steps == steps
     stats = pstats.Stats(profile).stats
-    for method, cls, module in ((atoms.data_attr, None, "atoms.py"),
-                                (Interpreter.soft_resolve, "Interpreter", "core.py")):
-        assert stats.get(_key(method, cls, module), (0, 0))[1] <= 1, method.__qualname__
+    return lambda method, cls, module: stats.get(_key(method, cls, module), (0, 0))[1]
+
+
+def test_recursion_dispatches_data_in_the_fused_frame():
+    # `n.less 1`, `if.` on it and `n.add ...` on a parameter that holds the
+    # caller's unrun `n.sub 1` are built in evaluate's fused frame, so only
+    # `(sum 20).add ...`, whose receiver is an object, resolves in general
+    calls = _stress_calls("recursion-20")
+    assert calls(atoms.data_attr, None, "atoms.py") <= 1
+    assert calls(Interpreter.soft_resolve, "Interpreter", "core.py") <= 1
 
 
 def test_heap_dispatches_native_ops_in_the_fused_frame():
@@ -108,14 +113,9 @@ def test_heap_dispatches_native_ops_in_the_fused_frame():
     # frame and their arguments read by force_datum, so soft_resolve is left
     # with `v.as-int` in the decoder and `acc.as-string`, and dataize with
     # the decoder's reads, the `while` conditions and the result
-    text, steps, value = STRESS["heap-30"]
-    program = philang.Program(text, stdout=io.BytesIO(), stderr=io.BytesIO())
-    profile = cProfile.Profile()
-    assert profile.runcall(program.run) == value
-    assert program.interp.steps == steps
-    stats = pstats.Stats(profile).stats
-    for method, most in ((Interpreter.soft_resolve, 61), (Interpreter.dataize, 93)):
-        assert stats.get(_key(method, "Interpreter", "core.py"), (0, 0))[1] <= most, method.__qualname__
+    calls = _stress_calls("heap-30")
+    assert calls(Interpreter.soft_resolve, "Interpreter", "core.py") <= 61
+    assert calls(Interpreter.dataize, "Interpreter", "core.py") <= 93
 
 
 def _layers_parser_phases():
