@@ -241,26 +241,32 @@ def _run_memory_write(interp, cell, args):
     return value
 
 
-class CageSlot(NativeObject):
+class Forwarder(NativeObject):
+    """A native object that passes attributes, copies and dataization on to
+    its content, `content(what)`, which faults while there is none."""
+
+    __slots__ = ()
+
+    def native_attr(self, interp, name):
+        return interp.soft_resolve(self.content(f"read ({name})"), name)
+
+    def native_apply(self, interp, arg_thunks):
+        return interp.apply(self.content("applied"), arg_thunks)
+
+    def native_dataize(self, interp):
+        return self.content("dataized")
+
+
+class CageSlot(Forwarder):
     __slots__ = ("stored",)
     label = "cage"
 
     def __init__(self):
         self.stored = None
 
-    def native_attr(self, interp, name):
+    def content(self, what):
         if self.stored is None:
-            raise EvalFault("cage-empty", f"cage read ({name}) before the first write")
-        return interp.soft_resolve(self.stored, name)
-
-    def native_apply(self, interp, arg_thunks):
-        if self.stored is None:
-            raise EvalFault("cage-empty", "cage applied before the first write")
-        return interp.apply(self.stored, arg_thunks)
-
-    def native_dataize(self, interp):
-        if self.stored is None:
-            raise EvalFault("cage-empty", "cage dataized before the first write")
+            raise EvalFault("cage-empty", f"cage {what} before the first write")
         return self.stored
 
 
@@ -270,7 +276,7 @@ def _run_cage_write(interp, slot, args):
     return True
 
 
-class SnapshotHandle(NativeObject):
+class SnapshotHandle(Forwarder):
     """`x' > c` makes this handle; `c.<` captures x's current content."""
 
     __slots__ = ("target_thunk", "captured", "anchored")
@@ -281,7 +287,7 @@ class SnapshotHandle(NativeObject):
         self.captured = None
         self.anchored = False
 
-    def _need(self):
+    def content(self, what):
         if not self.anchored:
             raise EvalFault("snapshot-unanchored", "snapshot used before its .< anchor")
         return self.captured
@@ -296,15 +302,6 @@ class SnapshotHandle(NativeObject):
             self.captured = snapshot(target)
         self.anchored = True
         return True
-
-    def native_attr(self, interp, name):
-        return interp.soft_resolve(self._need(), name)
-
-    def native_apply(self, interp, arg_thunks):
-        return interp.apply(self._need(), arg_thunks)
-
-    def native_dataize(self, interp):
-        return self._need()
 
 
 def anchor_atom(handle_thunk):
@@ -570,8 +567,9 @@ def _run_heap_pointer(interp, heap_obj, args):
     _arity(args, 2, "heap.pointer")
     address = _want_int(interp, args[0], "heap.pointer address")
     stride = _want_int(interp, args[1], "heap.pointer stride")
+    pv = heapmod.PointerValue(heap_obj.store, address, stride)
     heap_obj.store.ensure_mapped(address)
-    return PtrObj(heapmod.PointerValue(heap_obj.store, address, stride))
+    return PtrObj(pv)
 
 
 class AllocObj(NativeObject):

@@ -50,37 +50,18 @@ def _run_file(args):
     except OSError as exc:
         sys.stderr.write(f"error: cannot read {args.file}: {exc}\n")
         return 2
-    return _execute(
-        text,
-        file=args.file,
-        max_steps=args.max_steps,
-        heap_size=args.heap_size,
-        trace=args.trace,
-        traceability=args.traceability,
-        print_value=False,
-    )
+    return _execute(text, args.file, args, args.traceability, print_value=False)
 
 
-def _eval_expr(args):
-    return _execute(
-        args.expr,
-        file="<expr>",
-        max_steps=args.max_steps,
-        heap_size=args.heap_size,
-        trace=args.trace,
-        traceability=False,
-        print_value=True,
-    )
-
-
-def _execute(text, file, max_steps, heap_size, trace, traceability, print_value):
+def _execute(text, file, args, traceability, print_value):
+    """Run `text` under the budget, heap size and trace flag of `args`."""
     try:
         program = Program(
             text,
             file=file,
-            max_steps=max_steps,
-            heap_size=heap_size,
-            trace=trace,
+            max_steps=args.max_steps,
+            heap_size=args.heap_size,
+            trace=args.trace,
             traceability=traceability,
             stdout=sys.stdout.buffer,
             stderr=sys.stderr.buffer,
@@ -127,7 +108,7 @@ def main(argv=None):
         return _run_file(args)
     if args.command == "corpus":
         return _run_corpus(args)
-    return _eval_expr(args)
+    return _execute(args.expr, "<expr>", args, False, print_value=True)
 
 
 if __name__ == "__main__":

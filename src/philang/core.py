@@ -38,7 +38,7 @@ arrays and data homes), or the value is a written memory cell whose datum
 has op there, it returns the AtomApp the general path would reach through
 soft_resolve and apply; the guard is one hit in that per-type table.
 force_datum, the argument read of every atom that dataizes one, evaluates
-a literal or name, runs an atom application and reads a native normal form
+a literal or name, runs an atom application and reads a native object
 in its own frame. They keep the clock exact by one rule: tick the steps
 the general path would tick, in its order, with the budget checked before
 each is counted (k at once only when all k fit; after a lookup or an
@@ -58,7 +58,6 @@ from .syntax import (
     Dispatch,
     Formation,
     Literal,
-    MetaImport,
     Name,
     SnapshotRef,
 )
@@ -201,14 +200,12 @@ class NativeObject:
         raise EvalFault("not-applicable", f"{self.label} cannot be copied with arguments")
 
     def native_step(self, interp):
-        """Optional reduction step; None means this object is a normal form."""
-        return None
+        """Hook run when the object is reduced, after its step is ticked and
+        before it is read. It may raise (a jump signal, say); otherwise the
+        object stays as it is, a normal form."""
 
     def __repr__(self):
         return f"<{self.label}>"
-
-
-_NORMAL_FORM = NativeObject.native_step
 
 
 class AtomFn(NativeObject):
@@ -397,8 +394,6 @@ class Interpreter:
             return self.atoms.SnapshotHandle(Thunk(term.target, owner))
         if t is Anchor:
             return self.atoms.anchor_atom(Thunk(term.recv, owner))
-        if t is MetaImport:
-            raise EvalFault("meta-eval", "+import lines are not evaluable objects")
         raise AssertionError(f"unknown term {term!r}")
 
     def lookup(self, ident, owner):
@@ -634,11 +629,8 @@ class Interpreter:
                 obj._has_reduced = True
                 return reduced
             if isinstance(obj, NativeObject):
-                step = obj.native_step(self)
-                if step is None:
-                    return obj
-                obj = step
-                continue
+                obj.native_step(self)
+                return obj
             return _plain_datum(obj, "reduce")
 
     def force_datum(self, th):
@@ -646,8 +638,8 @@ class Interpreter:
         that dataizes one, in one frame for the common arguments when
         tracing is off: a literal or a name is evaluated here, an atom
         application (a fused `r.op x` above all) is run here, and a cell or
-        a native normal form (a block view, say) is read here, ticking as
-        evaluate, deep_reduce and run_cached would. Any other argument, or a
+        another native object (a block view, say) is stepped and read here,
+        ticking as evaluate, deep_reduce and run_cached would. Any other argument, or a
         budget too short to tick ahead, goes on through deep_reduce from
         where it stands, so a nesting level costs no more frames than
         dataize would."""
@@ -690,9 +682,10 @@ class Interpreter:
                 if t is self._cell and obj.written:
                     self.steps += 1
                     return obj.value
-                if isinstance(obj, NativeObject) and t.native_step is _NORMAL_FORM:
-                    # deep_reduce's one step on a native normal form, then its read
+                if isinstance(obj, NativeObject):
+                    # deep_reduce's one step on a native object and its hook, then the read
                     self.steps += 1
+                    obj.native_step(self)
                     return self._read_datum(obj, False)
         r = self.deep_reduce(obj)
         return r if type(r) in _EXACT_DATA else self._read_datum(r, False)

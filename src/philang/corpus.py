@@ -10,7 +10,7 @@ reconstruction applied to make the source runnable.
 from importlib import resources
 
 from .errors import BudgetExceeded
-from .runtime import DEFAULT_HEAP_SIZE, DEFAULT_MAX_STEPS, run_text
+from .runtime import run_text
 
 
 class CorpusEntry:
@@ -94,8 +94,8 @@ def notes_text(entry_id):
     return (_entry_dir(entry_id) / "NOTES.md").read_text(encoding="utf-8")
 
 
-def run_entry(entry_id, max_steps=DEFAULT_MAX_STEPS, heap_size=DEFAULT_HEAP_SIZE):
-    """Execute one entry under the default budget.
+def run_entry(entry_id, **kwargs):
+    """Execute one entry; the keyword arguments are Program's.
 
     Returns (stdout_bytes, value), value being the program's result. Runtime errors propagate with the
     entry id attached; comparison against the golden is the caller's job.
@@ -103,9 +103,7 @@ def run_entry(entry_id, max_steps=DEFAULT_MAX_STEPS, heap_size=DEFAULT_HEAP_SIZE
     entry = get_entry(entry_id)
     text = program_text(entry_id)
     try:
-        out, _err, value = run_text(
-            text, file=entry.program, max_steps=max_steps, heap_size=heap_size
-        )
+        out, _err, value = run_text(text, file=entry.program, **kwargs)
     except BudgetExceeded:
         raise
     except Exception as exc:

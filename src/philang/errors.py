@@ -13,12 +13,8 @@ class SyntaxFault(PhilangError):
     def __init__(self, message, file=None, line=None):
         self.file = file
         self.line = line
-        where = ""
-        if file is not None and line is not None:
-            where = f"{file}:{line}: "
-        elif line is not None:
-            where = f"line {line}: "
-        super().__init__(where + message)
+        # every fault that names a line also names its file
+        super().__init__(message if line is None else f"{file}:{line}: {message}")
 
 
 class EvalFault(PhilangError):

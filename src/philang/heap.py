@@ -160,8 +160,8 @@ class HeapStore:
         if not create or addr < self.capacity:
             return None
         lo = self.windows[i].start + self.windows[i].size if i >= 0 else self.capacity
-        # with no window above, addr + WINDOW_SIZE is a limit that never binds
-        hi = self.windows[i + 1].start if i + 1 < len(self.windows) else addr + WINDOW_SIZE
+        # with no window above, the limit is the end of the int64 address space
+        hi = self.windows[i + 1].start if i + 1 < len(self.windows) else INT64_MAX + 1
         start = max(lo, min(addr - WINDOW_SIZE // 2, hi - WINDOW_SIZE))
         w = Window(start, min(WINDOW_SIZE, hi - start), self._claim(WINDOW_SIZE))
         self.windows.insert(i + 1, w)
@@ -224,6 +224,8 @@ class PointerValue:
             raise EvalFault("bad-pointer", f"pointer stride must be positive, got {stride}")
         if address < 0:
             raise EvalFault("bad-pointer", f"pointer address must be non-negative, got {address}")
+        if address > INT64_MAX:
+            raise EvalFault("int64-overflow", f"pointer address {address} is outside the int64 range")
         self.store = store
         self.address = address
         self.stride = stride

@@ -33,6 +33,7 @@ tree.
 import re
 
 from .errors import SyntaxFault
+from .heap import INT64_MAX, INT64_MIN
 from .syntax import (
     Anchor,
     Application,
@@ -124,7 +125,10 @@ def _lex_line(text, file, line):
         elif kind == "punct":
             toks.append(_PUNCT[m[kind]])
         elif kind in _NUMBER:
-            toks.append(("number", _NUMBER[kind](m[kind])))
+            value = _NUMBER[kind](m[kind])
+            if type(value) is int and not INT64_MIN <= value <= INT64_MAX:
+                raise SyntaxFault(f"integer literal {m[kind]} is outside the int64 range", file, line)
+            toks.append(("number", value))
         elif kind == "string":
             body = m[kind][1:-1]
             if "\\" in body:

@@ -55,14 +55,10 @@ class Program:
         stderr=None,
         extra_builtins=None,
     ):
-        self.file = file
         self.stderr = stderr
         try:
             with _recursion_headroom():
                 self.entries = parse_entries(text, file)
-                if traceability:
-                    for _name, _const, term in self.entries:
-                        attach_source(term, warn=self._warn)
         except RecursionError:
             raise SyntaxFault("program nesting exceeds what the parser can hold", file) from None
         store = HeapStore(heap_size)
@@ -75,6 +71,9 @@ class Program:
             trace=trace,
         )
         self.heap_store = store
+        if traceability:
+            for _name, _const, term in self.entries:
+                attach_source(term, warn=lambda message: self.interp.diag(f"warning: {message}\n"))
         root_term = Formation(
             params=[],
             variadic=False,
@@ -84,13 +83,6 @@ class Program:
         )
         self.root = Closure(root_term, None)
         self.interp.root = self.root
-
-    def _warn(self, message):
-        sink = self.stderr
-        if sink is not None:
-            sink.write(f"warning: {message}\n".encode("utf-8"))
-        else:
-            sys.stderr.write(f"warning: {message}\n")
 
     def entry_target(self):
         names = [n for (n, _c, _t) in self.entries if n is not None]
@@ -122,33 +114,12 @@ class Program:
             ) from None
 
 
-def run_text(
-    text,
-    file="<input>",
-    max_steps=DEFAULT_MAX_STEPS,
-    heap_size=DEFAULT_HEAP_SIZE,
-    trace=False,
-    traceability=False,
-    extra_builtins=None,
-):
-    """Run source text with captured output.
-
-    Returns (stdout_bytes, stderr_bytes, value).
-    """
+def run_text(text, **kwargs):
+    """Run source text with captured output; the keyword arguments are
+    Program's. Returns (stdout_bytes, stderr_bytes, value)."""
     out = io.BytesIO()
     err = io.BytesIO()
-    program = Program(
-        text,
-        file=file,
-        max_steps=max_steps,
-        heap_size=heap_size,
-        trace=trace,
-        traceability=traceability,
-        stdout=out,
-        stderr=err,
-        extra_builtins=extra_builtins,
-    )
-    value = program.run()
+    value = Program(text, stdout=out, stderr=err, **kwargs).run()
     return out.getvalue(), err.getvalue(), value
 
 

@@ -158,6 +158,21 @@ def test_eval_runtime_error_exit_one():
     assert b"division-by-zero" in err
 
 
+def test_int_literal_outside_int64_exit_two():
+    code, out, err = cli("eval", "99999999999999999999999")
+    assert code == 2
+    assert out == b""
+    assert err == b"parse error: <expr>:0: integer literal 99999999999999999999999 is outside the int64 range\n"
+
+
+def test_pointer_past_int64_exit_one(tmp_path):
+    f = tmp_path / "p.phi"
+    f.write_text("[] > main\n  heap.malloc 8 > a\n  a.pointer 0 8 > p\n  (p.add 9223372036854775807).add 0 > @\n")
+    code, _out, err = cli("run", str(f))
+    assert code == 1
+    assert b"int64-overflow" in err
+
+
 def test_heap_size_flag(tmp_path):
     f = tmp_path / "m.phi"
     f.write_text("Q.org.eolang.gray.heap.malloc 100000\n")

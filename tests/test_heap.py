@@ -97,6 +97,48 @@ def test_pointer_add_sub_inverse():
         assert q.address == p.address
 
 
+def test_pointer_address_past_int64_is_an_overflow():
+    store = HeapStore(64)
+    with pytest.raises(EvalFault) as e:
+        PointerValue(store, (1 << 63), 8)
+    assert e.value.kind == "int64-overflow"
+    top = PointerValue(store, (1 << 63) - 1, 1)
+    with pytest.raises(EvalFault) as e:
+        pointer_add(top, 1)
+    assert e.value.kind == "int64-overflow"
+    assert pointer_sub(top, 1).address == (1 << 63) - 2
+
+
+POINTER_0 = "[] > main\n  heap.malloc 8 > a\n  a.pointer 0 8 > p\n"
+
+
+@pytest.mark.parametrize(
+    "src",
+    [
+        POINTER_0 + "  (p.add 9223372036854775807).add 0 > @\n",
+        POINTER_0 + "  (p.add 1152921504606846976).sub 1 > @\n",
+        POINTER_0 + "  p.sub -1152921504606846976 > @\n",
+        "[] > main\n  seq > @\n    heap.malloc 8\n    (heap.malloc 8).pointer 9223372036854775807 1\n",
+        "heap.pointer 9223372036854775807 8 > p\np.add 1\n",
+    ],
+)
+def test_pointer_arithmetic_past_int64_is_an_overflow(src):
+    with pytest.raises(EvalFault) as e:
+        run_src(src)
+    assert fault_kind(e) == "int64-overflow"
+
+
+def test_window_at_the_top_of_int64_ends_there():
+    store = HeapStore(1 << 13)
+    store.ensure_mapped((1 << 63) - 1)
+    (w,) = store.windows
+    assert w.start + w.size == 1 << 63
+    store.write((1 << 63) - 8, bytes(range(8)))
+    with pytest.raises(EvalFault) as e:
+        store.read((1 << 63) - 4, 8)
+    assert e.value.kind == "out-of-bounds"
+
+
 # -- blocks ----------------------------------------------------------------------
 
 

@@ -339,6 +339,16 @@ GUARD_MISSES = {
     "add-a-jump": (
         "[] > main\n  goto > @\n    [g]\n      1.add (g.forward 5) > @\n",
         ("value", 5), 28),
+    "atom-app-applied": (
+        "[] > main\n  (5.add 1) 2 > @\n",
+        ("EvalFault", "not-applicable: a data value (6) cannot take arguments"), 14),
+    "native-amp": (
+        "[] > main\n  heap.& > h\n  h.nope > @\n",
+        ("EvalFault", "attribute-not-found: home has no attribute 'nope'"), 10),
+    "snapshot-dataized-applied": (
+        "[y] > inc\n  1.add y > @\n[] > main\n  inc' > f\n  5' > five\n"
+        "  seq > @\n    f.<\n    five.<\n    f five\n",
+        ("value", 6), 40),
 }
 
 
@@ -348,3 +358,19 @@ def test_guard_miss_matches_the_traced_run(name):
     fused = _outcome(text, name + ".phi", 1000, trace=False)
     assert fused[:2] == (outcome, steps)
     assert fused == _outcome(text, name + ".phi", 1000, trace=True)
+
+
+# A closure reduces its decoration once: dataizing the same `hi` again reads
+# the reduced normal form it cached, so `stdout` runs once.
+HI = '[] > hi\n  stdout "hi" > @\n'
+REDUCED_TWICE = {
+    "hi-bound-twice": (HI + "[] > main\n  seq > @\n    hi > x\n    x\n", 23),
+    "hi-named-twice": (HI + "[] > main\n  seq > @\n    hi\n    hi\n", 22),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REDUCED_TWICE))
+def test_reduced_decoration_is_cached(name):
+    text, steps = REDUCED_TWICE[name]
+    for trace in (False, True):
+        assert _outcome(text, name + ".phi", 1000, trace) == (("value", True), steps, b"hi")
