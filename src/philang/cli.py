@@ -56,7 +56,7 @@ def _run_file(args):
 def _execute(text, file, args, traceability, print_value):
     """Run `text` under the budget, heap size and trace flag of `args`."""
     try:
-        program = Program(
+        value = Program(
             text,
             file=file,
             max_steps=args.max_steps,
@@ -65,12 +65,10 @@ def _execute(text, file, args, traceability, print_value):
             traceability=traceability,
             stdout=sys.stdout.buffer,
             stderr=sys.stderr.buffer,
-        )
+        ).run()
     except SyntaxFault as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    try:
-        value = program.run()
     except BudgetExceeded as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 3

@@ -1,14 +1,14 @@
-"""Object core: closures, thunks, attribute resolution, reduction and
-dataization.
+"""Object core: closures, thunks, attribute resolution, reduction, dataization.
 
 The evaluation discipline, pinned by the feature programs this runtime has
 to reproduce:
 
 - evaluate() is structural and effect-free: it builds closures and atom
   applications without running them;
-- an attribute thunk caches the object it evaluated to, once per enclosing
-  copy, so stateful atoms (memory, cage, heap allocations) keep their
-  identity;
+- a thunk caches the object it evaluated to, once per enclosing copy, so
+  stateful atoms (memory, cage, heap allocations) keep their identity; it
+  then drops its scope (a literal's has none), and an atom application that
+  returned its inputs, so reference counting frees a finished copy;
 - a closure caches the reduced normal form of its decoration chain, so a
   constructor-style `seq` runs once per instance;
 - cell-like native objects are re-read on every dataization, which is what
@@ -100,7 +100,7 @@ class Thunk:
 
     def __init__(self, term, owner, memo=False):
         self.term = term
-        self.owner = owner
+        self.owner = None if type(term) is Literal else owner
         self.obj = None
         self.has_obj = False
         self.memo = memo
@@ -127,6 +127,7 @@ class Thunk:
             self.forcing = False
         self.obj = obj
         self.has_obj = True
+        self.owner = None
         return obj
 
 
@@ -162,12 +163,12 @@ class Closure:
 
     def copy_with(self, arg_thunks, interp):
         params = self.term.params
-        unbound = [p for p in params if p not in self.bound]
-        variadic = self.term.variadic
         new_bound = dict(self.bound)
         args = list(arg_thunks)
-        for p in unbound:
-            if variadic and p == params[-1]:
+        for p in params:
+            if p in self.bound:
+                continue
+            if self.term.variadic and p == params[-1]:
                 new_bound[p] = Thunk.of(interp.atoms.ArrayObject(args))
                 args = []
                 break
@@ -583,6 +584,7 @@ class Interpreter:
             app.running = False
         app.result = result
         app.has_result = True
+        app.args = app.bound = None
         return result
 
     def deep_reduce(self, obj):
@@ -661,6 +663,7 @@ class Interpreter:
                 th.forcing = False
             th.obj = obj
             th.has_obj = True
+            th.owner = None
         if not self.trace:
             t = type(obj)
             if t is AtomApp and not obj.has_result and not obj.running and self.steps + 2 <= self.max_steps:
@@ -673,6 +676,7 @@ class Interpreter:
                     obj.running = False
                 obj.result = result
                 obj.has_result = True
+                obj.args = obj.bound = None
                 obj = result
                 t = type(obj)
             if self.steps < self.max_steps:

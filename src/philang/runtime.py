@@ -61,6 +61,8 @@ class Program:
                 self.entries = parse_entries(text, file)
         except RecursionError:
             raise SyntaxFault("program nesting exceeds what the parser can hold", file) from None
+        if max_steps < 0:
+            raise EvalFault("budget-config", "the step budget must not be negative")
         store = HeapStore(heap_size)
         self.interp = Interpreter(
             atoms,

@@ -181,6 +181,17 @@ def test_heap_size_flag(tmp_path):
     assert b"out-of-capacity" in err
 
 
+def test_bad_heap_size_or_step_budget_exits_one():
+    for flag, value, kind in (("--heap-size", "8", "heap-config"), ("--max-steps", "-5", "budget-config")):
+        code, out, err = cli("eval", "1.add 1", flag, value)
+        assert code == 1
+        assert out == b""
+        assert err.startswith(f"error: {kind}: ".encode()) and err.count(b"\n") == 1
+    code, _out, err = cli("eval", "1.add 1", "--max-steps", "0")
+    assert code == 3
+    assert err == b"error: evaluation budget exhausted (0 steps)\n"
+
+
 def test_trace_of_literal_single_step():
     code, out, err = cli("eval", "42", "--trace")
     assert code == 0

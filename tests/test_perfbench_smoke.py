@@ -5,6 +5,7 @@ perfbench/ is imported as a package or changed."""
 
 import ast
 import cProfile
+import gc
 import importlib.util
 import io
 import os
@@ -116,6 +117,30 @@ def test_heap_dispatches_native_ops_in_the_fused_frame():
     calls = _stress_calls("heap-30")
     assert calls(Interpreter.soft_resolve, "Interpreter", "core.py") <= 61
     assert calls(Interpreter.dataize, "Interpreter", "core.py") <= 93
+
+
+def _cyclic_garbage(text):
+    """Objects the cycle collector finds after one run made with it off."""
+    gc.collect()
+    gc.disable()
+    try:
+        philang.Program(text, stdout=io.BytesIO(), stderr=io.BytesIO()).run()
+    finally:
+        found = gc.collect()
+        gc.enable()
+    return found
+
+
+@pytest.mark.parametrize("make", [
+    workloads.loop_text,
+    lambda n: workloads.recursion_text(n, 3, n),
+    lambda n: workloads.heap_text(n, (3, 5, 7, 11)),
+], ids=["loop", "recursion", "heap"])
+def test_finished_iterations_leave_no_cyclic_garbage(make):
+    # a forced thunk drops its scope and a run atom application its inputs,
+    # so reference counting frees each finished iteration or nesting level
+    # and what is left for the collector does not grow with n
+    assert _cyclic_garbage(make(20)) == _cyclic_garbage(make(80))
 
 
 def _layers_parser_phases():

@@ -1,3 +1,4 @@
+import gc
 import os
 import subprocess
 import sys
@@ -187,6 +188,14 @@ def test_heap_config_minimum():
     assert fault_kind(e) == "heap-config"
 
 
+def test_negative_step_budget_is_a_config_fault():
+    with pytest.raises(EvalFault) as e:
+        Program("42\n", max_steps=-5)
+    assert fault_kind(e) == "budget-config"
+    with pytest.raises(BudgetExceeded):
+        Program("42\n", max_steps=0).run()
+
+
 def test_budget_is_deterministic():
     src = "[] > main\n  goto > @\n    [g]\n      g.backward > @\n"
     counts = []
@@ -331,3 +340,16 @@ def test_import_leaves_the_recursion_limit_alone():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout.split()
     assert out[0] == out[1]
+
+
+def test_run_leaves_the_cycle_collector_as_it_found_it():
+    threshold = gc.get_threshold()
+    try:
+        for enabled, limits in ((True, threshold), (False, (123, 4, 5))):
+            (gc.enable if enabled else gc.disable)()
+            gc.set_threshold(*limits)
+            run_src("[] > main\n  goto > @\n    [g]\n      g.forward 1 > @\n")
+            assert (gc.isenabled(), gc.get_threshold()) == (enabled, limits)
+    finally:
+        gc.enable()
+        gc.set_threshold(*threshold)

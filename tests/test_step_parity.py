@@ -374,3 +374,42 @@ def test_reduced_decoration_is_cached(name):
     text, steps = REDUCED_TWICE[name]
     for trace in (False, True):
         assert _outcome(text, name + ".phi", 1000, trace) == (("value", True), steps, b"hi")
+
+
+# An object whose first dataization escaped by a goto or try signal caught
+# outside it is dataized again. Its atom applications that raised kept their
+# inputs, so they run again, now taking the other branch of `if m`: `x` is
+# read by an atom's argument (goto) and reduced as a decoratee (try).
+RERUN = """\
+[] > main
+  memory > m
+  cage > c
+  {x}
+  seq > @
+    m.write TRUE
+    {escape}
+    m.write FALSE
+    {again}
+"""
+RERUN_AFTER_SIGNAL = {
+    "goto-forward": (
+        RERUN.format(
+            x="seq > x\n    stdout \"x\"\n    if m (c.forward 5) 7",
+            escape="goto\n      [g]\n        seq > @\n          c.write g\n          1.add x",
+            again="1.add x"),
+        ("value", 8), 112, b"x"),
+    "try-thrown": (
+        RERUN.format(
+            x="[] > x\n    seq > @\n      stdout \"x\"\n      if m (c \"boom\") 7",
+            escape="stdout\n      try\n        [t]\n          seq > @\n            c.write t\n"
+                   "            x\n        [e]\n          e > @\n        TRUE",
+            again="x"),
+        ("value", 7), 110, b"xboom"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RERUN_AFTER_SIGNAL))
+def test_rerun_after_a_caught_signal(name):
+    text, outcome, steps, out = RERUN_AFTER_SIGNAL[name]
+    for trace in (False, True):
+        assert _outcome(text, name + ".phi", 1000, trace) == (outcome, steps, out)
