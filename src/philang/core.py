@@ -42,11 +42,12 @@ a literal or name, runs an atom application and reads a native object
 in its own frame. They keep the clock exact by one rule: tick the steps
 the general path would tick, in its order, with the budget checked before
 each is counted (k at once only when all k fit; after a lookup or an
-evaluation, which can tick, from self.steps as it then stands). When
-tracing is on, a guard misses or the budget is too short, they continue on
-the general path from the value already in hand, without ticking again
-and without a Python frame more per nesting level than the general path
-takes.
+evaluation, which can tick, from self.steps as it then stands). When a
+guard misses or the budget is too short, they continue on the general path
+from the value already in hand, without ticking again and without a Python
+frame more per nesting level than the general path takes. Tracing only
+writes lines and takes no path of its own: a traced run takes the same
+frames and steps as an untraced one.
 """
 
 import sys
@@ -117,7 +118,7 @@ class Thunk:
         if self.has_obj:
             return self.obj
         if self.forcing:
-            raise EvalFault("circular-attribute", f"attribute depends on itself near {self.term!r}")
+            raise EvalFault("circular-attribute", f"attribute depends on itself at {self.term.span}")
         self.forcing = True
         try:
             obj = interp.evaluate(self.term, self.owner)
@@ -341,7 +342,7 @@ class Interpreter:
         if t is Application:
             head = term.head
             args = term.args
-            if type(head) is Dispatch and head.attr != "while" and not self.trace and steps < self.max_steps:
+            if type(head) is Dispatch and head.attr != "while" and steps < self.max_steps:
                 # `recv.op args` in this frame: the ticks of evaluating the
                 # head and a name receiver, then the lookup, which can tick
                 # too; any other receiver is evaluated after the head's tick
@@ -637,17 +638,17 @@ class Interpreter:
 
     def force_datum(self, th):
         """`self.dataize(th.force(self))`, the argument read of every atom
-        that dataizes one, in one frame for the common arguments when
-        tracing is off: a literal or a name is evaluated here, an atom
-        application (a fused `r.op x` above all) is run here, and a cell or
-        another native object (a block view, say) is stepped and read here,
-        ticking as evaluate, deep_reduce and run_cached would. Any other argument, or a
-        budget too short to tick ahead, goes on through deep_reduce from
-        where it stands, so a nesting level costs no more frames than
-        dataize would."""
+        that dataizes one, in one frame for the common arguments: a literal
+        or a name is evaluated here, an atom application (a fused `r.op x`
+        above all) is run here, and a cell or another native object (a
+        block view, say) is stepped and read here, ticking, tracing and
+        counting depth as evaluate, deep_reduce and run_cached would. Any
+        other argument, or a budget too short to tick ahead, goes on through
+        deep_reduce from where it stands, so a nesting level costs no more
+        frames than dataize would."""
         if th.has_obj:
             obj = th.obj
-        elif th.memo or th.forcing or self.trace:
+        elif th.memo or th.forcing:
             obj = th.force(self)
         else:
             term = th.term
@@ -664,33 +665,36 @@ class Interpreter:
             th.obj = obj
             th.has_obj = True
             th.owner = None
-        if not self.trace:
+        t = type(obj)
+        if t is AtomApp and not obj.has_result and not obj.running and self.steps + 2 <= self.max_steps:
+            # the ticks of deep_reduce and run_cached, then run_cached's trace line and depth
+            self.steps += 2
+            if self.trace:
+                self.trace_step(obj)
+            obj.running = True
+            self.depth += 1
+            try:
+                result = obj.fn(self, obj.bound, obj.args)
+            finally:
+                self.depth -= 1
+                obj.running = False
+            obj.result = result
+            obj.has_result = True
+            obj.args = obj.bound = None
+            obj = result
             t = type(obj)
-            if t is AtomApp and not obj.has_result and not obj.running and self.steps + 2 <= self.max_steps:
-                # the ticks of deep_reduce and run_cached; depth only indents a trace
-                self.steps += 2
-                obj.running = True
-                try:
-                    result = obj.fn(self, obj.bound, obj.args)
-                finally:
-                    obj.running = False
-                obj.result = result
-                obj.has_result = True
-                obj.args = obj.bound = None
-                obj = result
-                t = type(obj)
-            if self.steps < self.max_steps:
-                if t in _EXACT_DATA:
-                    self.steps += 1
-                    return obj
-                if t is self._cell and obj.written:
-                    self.steps += 1
-                    return obj.value
-                if isinstance(obj, NativeObject):
-                    # deep_reduce's one step on a native object and its hook, then the read
-                    self.steps += 1
-                    obj.native_step(self)
-                    return self._read_datum(obj, False)
+        if self.steps < self.max_steps:
+            if t in _EXACT_DATA:
+                self.steps += 1
+                return obj
+            if t is self._cell and obj.written:
+                self.steps += 1
+                return obj.value
+            if isinstance(obj, NativeObject):
+                # deep_reduce's one step on a native object and its hook, then the read
+                self.steps += 1
+                obj.native_step(self)
+                return self._read_datum(obj, False)
         r = self.deep_reduce(obj)
         return r if type(r) in _EXACT_DATA else self._read_datum(r, False)
 

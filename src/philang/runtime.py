@@ -10,9 +10,9 @@ import io
 import sys
 
 from . import atoms
-from .core import Closure, Interpreter, Signal
+from .core import Closure, Interpreter, NativeObject, Signal
 from .errors import EvalFault, SyntaxFault
-from .heap import HeapStore
+from .heap import INT64_MAX, INT64_MIN, HeapStore
 from .parser import attach_source, parse_entries
 from .syntax import Formation, Name, SourceSpan
 
@@ -40,6 +40,16 @@ def _recursion_headroom():
         sys.setrecursionlimit(limit)
 
 
+def _valid_builtin(value):
+    """Whether the core can run `value` as a global: a datum (an int inside
+    int64), a NativeObject, or a NativeObject class made anew per mention."""
+    if isinstance(value, type):
+        return issubclass(value, NativeObject)
+    if isinstance(value, int):
+        return INT64_MIN <= value <= INT64_MAX
+    return isinstance(value, (float, str, bytes, NativeObject))
+
+
 class Program:
     """A parsed module plus the interpreter it runs in."""
 
@@ -63,6 +73,10 @@ class Program:
             raise SyntaxFault("program nesting exceeds what the parser can hold", file) from None
         if max_steps < 0:
             raise EvalFault("budget-config", "the step budget must not be negative")
+        for name, value in (extra_builtins or {}).items():
+            if not _valid_builtin(value):
+                raise EvalFault("builtins-config", f"extra builtin {name!r} is not a datum inside int64, "
+                                "a native object or a native object class")
         store = HeapStore(heap_size)
         self.interp = Interpreter(
             atoms,

@@ -17,9 +17,6 @@ class SourceSpan:
     def __str__(self):
         return f"{self.file}:{self.first}-{self.last}"
 
-    def __repr__(self):
-        return f"SourceSpan({self.file!r}, {self.first}, {self.last})"
-
     def __eq__(self, other):
         return (
             isinstance(other, SourceSpan)
@@ -42,9 +39,6 @@ class Literal(Term):
         self.span = span
         self.value = value
 
-    def __repr__(self):
-        return f"Literal({self.value!r})"
-
 
 class Name(Term):
     """Bare identifier reference, resolved lexically at run time.
@@ -58,9 +52,6 @@ class Name(Term):
         self.span = span
         self.ident = ident
 
-    def __repr__(self):
-        return f"Name({self.ident})"
-
 
 class Dispatch(Term):
     """Attribute access `recv.attr`."""
@@ -72,9 +63,6 @@ class Dispatch(Term):
         self.recv = recv
         self.attr = attr
 
-    def __repr__(self):
-        return f"Dispatch({self.recv!r}.{self.attr})"
-
 
 class Application(Term):
     """Copy `head` with positional arguments."""
@@ -85,9 +73,6 @@ class Application(Term):
         self.span = span
         self.head = head
         self.args = args
-
-    def __repr__(self):
-        return f"Application({self.head!r}, {self.args!r})"
 
 
 class Formation(Term):
@@ -136,9 +121,6 @@ class Formation(Term):
         entry = self.index().get(name)
         return entry[0] if entry is not None else None
 
-    def __repr__(self):
-        return f"Formation([{' '.join(self.params)}] > {self.name or '?'})"
-
 
 class SnapshotRef(Term):
     """`expr'` — a snapshot handle over `target` (anchored later by `.<`)."""
@@ -148,9 +130,6 @@ class SnapshotRef(Term):
     def __init__(self, target, span=None):
         self.span = span
         self.target = target
-
-    def __repr__(self):
-        return f"SnapshotRef({self.target!r})"
 
 
 class Anchor(Term):
@@ -162,9 +141,6 @@ class Anchor(Term):
         self.span = span
         self.recv = recv
 
-    def __repr__(self):
-        return f"Anchor({self.recv!r})"
-
 
 class MetaImport(Term):
     """`+import a.b.c` line. Kept for fidelity; binds nothing at run time."""
@@ -174,9 +150,6 @@ class MetaImport(Term):
     def __init__(self, path, span=None):
         self.span = span
         self.path = path
-
-    def __repr__(self):
-        return f"MetaImport({self.path})"
 
 
 def _literal_src(value):

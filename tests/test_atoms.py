@@ -642,3 +642,32 @@ def test_extra_builtin_shadows_a_global():
                                        extra_builtins={"seq": probe})
     assert program.interp.lookup("seq", program.interp.root) is probe
     assert program.run() == 0
+
+
+# One program per fault site that no other test reaches, with the kind and
+# message it must fail with.
+FAULT_SITES = {
+    "bad-index": ('[] > main\n  array 1 2 > a\n  a.get "x" > @\n',
+                  "bad-index: array index must be an integer, got 'x'"),
+    "bad-free": ("[] > main\n  heap.free 5 > @\n", "bad-free: free expects a malloc allocation"),
+    "bad-anchor": ("[] > main\n  5.< > @\n", "bad-anchor: .< works only on a snapshot handle"),
+    "bad-scope-goto": ("[] > main\n  goto 5 > @\n", "bad-scope: goto expects a one-parameter object"),
+    "bad-scope-try": ("[] > main\n  try 5 5 5 > @\n",
+                      "bad-scope: try expects a one-parameter body object"),
+    "bare-token-goto": ("[] > main\n  goto > @\n    [g]\n      g > @\n",
+                        "bare-token: a jump token is not a datum; use .forward/.backward"),
+    "bare-token-try": ("[] > main\n  try > @\n    [t]\n      t > @\n    [e]\n      e > @\n    TRUE\n",
+                       "bare-token: a throw token must be applied to a payload before dataization"),
+    "type-error": ('[] > main\n  "ab".starts 5 > @\n', "type-error: starts compares strings"),
+    "cage-empty": ("[] > main\n  cage > c\n  c' > s\n  s.< > @\n",
+                   "cage-empty: snapshot anchor on an empty cage"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAULT_SITES))
+def test_fault_site_kind_and_message(name):
+    src, message = FAULT_SITES[name]
+    with pytest.raises(EvalFault) as e:
+        run_src(src)
+    assert str(e.value) == message
+    assert fault_kind(e) == message.split(":")[0]

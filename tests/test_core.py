@@ -308,8 +308,8 @@ def test_parent_of_top_level_object_is_the_program_root():
 
 def test_circular_attribute_detected():
     with pytest.raises(EvalFault) as e:
-        run_src("[] > f\n  b > a\n  a > b\n  a > @\nf\n")
-    assert fault_kind(e) == "circular-attribute"
+        run_src("[] > f\n  b > a\n  a > b\n  a > @\nf\n", file="loop.phi")
+    assert str(e.value) == "circular-attribute: attribute depends on itself at loop.phi:1-1"
 
 
 class Small(enum.IntEnum):

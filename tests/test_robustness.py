@@ -196,6 +196,28 @@ def test_negative_step_budget_is_a_config_fault():
         Program("42\n", max_steps=0).run()
 
 
+@pytest.mark.parametrize(
+    "value, src",
+    [([1, 2], "x\n"), (None, "x.add 1\n"), (2**70, "x\n"), (-(2**63) - 1, "x\n"), (list, "x\n")],
+)
+def test_foreign_extra_builtin_is_a_config_fault(value, src):
+    # the core runs only data, native objects and native object classes
+    with pytest.raises(EvalFault) as e:
+        run_src(src, extra_builtins={"x": value})
+    assert str(e.value) == (
+        "builtins-config: extra builtin 'x' is not a datum inside int64, "
+        "a native object or a native object class"
+    )
+
+
+def test_extra_builtin_at_the_int64_edge_or_a_native_class_runs():
+    from philang.atoms import MemoryCell
+
+    assert run_src("x\n", extra_builtins={"x": -(2**63)})[1] == -(2**63)
+    src = "[] > main\n  cell > m\n  seq > @\n    m.write 3\n    m\n"
+    assert run_src(src, extra_builtins={"cell": MemoryCell})[1] == 3
+
+
 def test_budget_is_deterministic():
     src = "[] > main\n  goto > @\n    [g]\n      g.backward > @\n"
     counts = []

@@ -240,16 +240,46 @@ def _sweep_case(name):
     return corpus.program_text(name), entry.program, top
 
 
+# SHA-256 per sweep case over (budget, outcome, steps, stdout) at each of its
+# sampled budgets, in sample order, one repr per line as the parser parity
+# pin hashes. Recorded from the traced run while a traced run still took
+# the general path only, so these are the general path's outcomes.
+SWEEP_SHA256 = {
+    "heap-30": "668bea4ddd6f09d5cb61cf13b005facadb2e689768743608849cd39e9270c1fc",
+    "loop-20": "d86cd784c1023525ee1696b1d8726bc180411e33d7a7413068d92fe7f355319e",
+    "recursion-20": "fc52856cff0e7980243e9be10d85e3fbf7c48f30617d8f9c1ee830d4ec48dbe0",
+    "goto-complex-divergent": "048a9e5e51836ae584cf16de4fdc528fc5f01ee589d65730b058973ac1b9f332",
+    "anonymous-functions": "0d268619cf4584fb43fe77137aa0bead67560e31cef1ff03c28c951b168eec40",
+    "exceptions-many": "279f52c70b61930ea19fb65468073d0337bc784e8493a0aaa28781dd8be72bcc",
+    "generators": "1aa6d08210127747ae6faa9f19384eaa789c781ae487354e275b7dbdee50b23d",
+    "goto-forward": "57887516cba221e6b15742798d12887836fd0b5af5f317a8bc40c5f10b0e2ff3",
+    "types": "2d405154c59511ace57f573c2bc2068b41102eeb6cc4008c893cc999833e5ccc",
+    "classes": "8de67d839ca8b2c9e1812069152aae71c76f9ac4fa51cbb23dd6d2d34b261a6c",
+    "pointers-book": "bea410263f75112bf12a246b8112a30dbb6dde587dccdde3b04930e9e73a9c00",
+    "pointers-code": "dd16a854b0140bbf851fceafd175f282692fa48fb683d80b1ad995cf1918e654",
+    "pointers-stack": "e2d0729dbd66d5e65115a68c56af853e4c61e47185c769d950b19b53fe3f8416",
+    "reflection-monkey-patching": "9a7cc7a965beecd06e164f1e5286d4c8d330333441ba1e374fa6841565f98bbf",
+}
+
+
+def _digest(budgets, outcomes):
+    h = hashlib.sha256()
+    for budget, o in zip(budgets, outcomes):
+        h.update(repr((budget,) + o).encode("utf-8") + b"\n")
+    return h.hexdigest()
+
+
 @pytest.mark.parametrize("name", sorted(STRESS) + ["goto-complex-divergent"] + SWEEP_ENTRIES)
 def test_budget_sweep_matches_the_traced_run(name):
-    # A traced run takes no fused path, so it is the generic reference: at
-    # every budget the untraced run must stop at the same step, with the
-    # same outcome and the same output.
+    # At every budget the run stops at the step the general path stopped
+    # at, with its outcome and output; tracing only writes lines, so the
+    # traced run stops there too.
     text, file, top = _sweep_case(name)
-    for budget in random.Random(name).sample(range(1, top + 1), min(SWEEP_BUDGETS, top)):
-        fused = _outcome(text, file, budget, trace=False)
-        generic = _outcome(text, file, budget, trace=True)
-        assert fused == generic, f"budget {budget}"
+    budgets = random.Random(name).sample(range(1, top + 1), min(SWEEP_BUDGETS, top))
+    untraced = [_outcome(text, file, budget, trace=False) for budget in budgets]
+    assert _digest(budgets, untraced) == SWEEP_SHA256[name]
+    for budget, outcome in zip(budgets, untraced):
+        assert _outcome(text, file, budget, trace=True) == outcome, f"budget {budget}"
 
 
 # Near misses and receivers of the fused `recv.op args` shapes, each with the
@@ -355,9 +385,9 @@ GUARD_MISSES = {
 @pytest.mark.parametrize("name", sorted(GUARD_MISSES))
 def test_guard_miss_matches_the_traced_run(name):
     text, outcome, steps = GUARD_MISSES[name]
-    fused = _outcome(text, name + ".phi", 1000, trace=False)
-    assert fused[:2] == (outcome, steps)
-    assert fused == _outcome(text, name + ".phi", 1000, trace=True)
+    untraced = _outcome(text, name + ".phi", 1000, trace=False)
+    assert untraced[:2] == (outcome, steps)
+    assert untraced == _outcome(text, name + ".phi", 1000, trace=True)
 
 
 # A closure reduces its decoration once: dataizing the same `hi` again reads
