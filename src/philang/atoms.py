@@ -3,10 +3,7 @@
 
 Everything impure lives here; the object core only knows how to run an
 AtomApp and how to ask a native object for attributes, a datum, or a step.
-The core is handed this module as its registry of native entry points
-(`while_atom`, `SnapshotHandle`, `anchor_atom`, `data_attr`, `HOMES`,
-`ArrayObject`, and `OPS` and `MemoryCell`, from which it builds `r.op args`
-in place) and the `vocabulary` namespace of global names. `OPS` is the one
+Each program's global names are one `vocabulary` namespace. `OPS` is the one
 table of atom operations: per exact type of receiver, data or native, the
 label and runner of each attribute that is an atom bound to the receiver.
 A native object's `native_attr` gives only what is not an atom bound to
@@ -19,6 +16,7 @@ import math
 from . import heap as heapmod
 from .core import (
     _MISS,
+    _check_int64,
     AtomApp,
     AtomFn,
     Closure,
@@ -31,22 +29,15 @@ from .errors import EvalFault
 from .heap import INT64_MAX, INT64_MIN
 
 
-def _check_int64(v):
-    if not (INT64_MIN <= v <= INT64_MAX):
-        raise EvalFault("int64-overflow", f"{v} does not fit in a signed 64-bit integer")
-    return v
-
-
 def to_text(v):
+    """The text of a datum of an exact data type."""
     if isinstance(v, bool):
         return "TRUE" if v else "FALSE"
     if isinstance(v, str):
         return v
     if isinstance(v, (int, float)):
         return repr(v)
-    if isinstance(v, bytes):
-        return heapmod.decode_string(v)
-    raise EvalFault("not-text", f"{v!r} has no text form")
+    return heapmod.decode_string(v)
 
 
 def _arity(args, n, what):
@@ -126,8 +117,6 @@ class Raiser(NativeObject):
 
 
 def _run_seq(interp, _bound, args):
-    if not args:
-        raise EvalFault("arity", "seq needs at least one object")
     value = None
     for t in args:
         value = interp.deep_reduce(t.force(interp))
@@ -412,17 +401,17 @@ def _run_cmp(op):
 
 
 def _run_as_string(interp, left, args):
-    _arity(args, 0, "as-string")
     return to_text(left)
 
 
 def _run_as_int(interp, left, args):
-    _arity(args, 0, "as-int")
     # data_attr binds it to an exact int, float or bytes only
     if type(left) is float:
         if left != left:
             raise EvalFault("not-a-number", "nan has no integer value")
-        return _check_int64(left if math.isinf(left) else int(left))
+        if math.isinf(left):
+            raise EvalFault("int64-overflow", f"{left} does not fit in a signed 64-bit integer")
+        return _check_int64(int(left))
     if type(left) is bytes:
         return heapmod.decode_int(left)
     return left
@@ -489,8 +478,6 @@ def _run_stdout(interp, _bound, args):
 
 
 def _run_sprintf(interp, _bound, args):
-    if not args:
-        raise EvalFault("arity", "sprintf needs a format string")
     fmt = interp.force_datum(args[0])
     if not isinstance(fmt, str):
         raise EvalFault("bad-format", f"sprintf format must be a string, got {fmt!r}")

@@ -53,6 +53,7 @@ frames and steps as an untraced one.
 import sys
 
 from .errors import BudgetExceeded, EvalFault
+from .heap import INT64_MAX, INT64_MIN
 from .syntax import (
     Anchor,
     Application,
@@ -64,6 +65,8 @@ from .syntax import (
 )
 
 _MISS = object()
+# what a cached field holds until it is filled: no value a hook hands back
+_UNSET = object()
 _NO_OPS = {}
 
 _DATA_TYPES = (bool, int, float, str, bytes)
@@ -77,13 +80,22 @@ def is_datum(x):
     return type(x) in _EXACT_DATA
 
 
+def _check_int64(v):
+    """v, an int result or what a native object's hook handed back, unless
+    it is an int outside int64."""
+    if type(v) is int and not INT64_MIN <= v <= INT64_MAX:
+        raise EvalFault("int64-overflow", f"{v} does not fit in a signed 64-bit integer")
+    return v
+
+
 def _plain_datum(x, what):
     """x as its own data type when x's type subclasses one (an IntEnum from
-    a native object or an extra builtin, say); dispatch knows exact types."""
+    a native object or an extra builtin, say); dispatch knows exact types.
+    Only a native object's hook can hand back anything else."""
     for base in _DATA_TYPES:
         if isinstance(x, base):
-            return base(x)
-    raise AssertionError(f"cannot {what} {x!r}")
+            return _check_int64(base(x))
+    raise EvalFault("builtins-config", f"cannot {what} {x!r}, which a native object handed back")
 
 
 class Signal(Exception):
@@ -97,13 +109,12 @@ class Signal(Exception):
 
 
 class Thunk:
-    __slots__ = ("term", "owner", "obj", "has_obj", "memo", "forcing")
+    __slots__ = ("term", "owner", "obj", "memo", "forcing")
 
     def __init__(self, term, owner, memo=False):
         self.term = term
         self.owner = None if type(term) is Literal else owner
-        self.obj = None
-        self.has_obj = False
+        self.obj = _UNSET
         self.memo = memo
         self.forcing = False
 
@@ -111,11 +122,10 @@ class Thunk:
     def of(cls, obj):
         t = cls(None, None)
         t.obj = obj
-        t.has_obj = True
         return t
 
     def force(self, interp):
-        if self.has_obj:
+        if self.obj is not _UNSET:
             return self.obj
         if self.forcing:
             raise EvalFault("circular-attribute", f"attribute depends on itself at {self.term.span}")
@@ -127,7 +137,6 @@ class Thunk:
         finally:
             self.forcing = False
         self.obj = obj
-        self.has_obj = True
         self.owner = None
         return obj
 
@@ -135,15 +144,14 @@ class Thunk:
 class Closure:
     """A formation instance: the unit of decoration, copying and scope."""
 
-    __slots__ = ("term", "lexical", "bound", "_attrs", "_reduced", "_has_reduced", "_reducing")
+    __slots__ = ("term", "lexical", "bound", "_attrs", "_reduced", "_reducing")
 
     def __init__(self, term, lexical, bound=None):
         self.term = term
         self.lexical = lexical
         self.bound = bound or {}
         self._attrs = {}
-        self._reduced = None
-        self._has_reduced = False
+        self._reduced = _UNSET
         self._reducing = False
 
     def label(self):
@@ -170,7 +178,7 @@ class Closure:
             if p in self.bound:
                 continue
             if self.term.variadic and p == params[-1]:
-                new_bound[p] = Thunk.of(interp.atoms.ArrayObject(args))
+                new_bound[p] = Thunk.of(atoms.ArrayObject(args))
                 args = []
                 break
             if not args:
@@ -228,19 +236,15 @@ class AtomFn(NativeObject):
 class AtomApp:
     """A fully-formed native application; running it is cached per instance."""
 
-    __slots__ = ("name", "fn", "bound", "args", "result", "has_result", "running")
+    __slots__ = ("name", "fn", "bound", "args", "result", "running")
 
     def __init__(self, name, fn, bound, args):
         self.name = name
         self.fn = fn
         self.bound = bound
         self.args = args
-        self.result = None
-        self.has_result = False
+        self.result = _UNSET
         self.running = False
-
-    def __repr__(self):
-        return f"<{self.name}(...)>"
 
 
 class HomeView(NativeObject):
@@ -264,17 +268,10 @@ class HomeView(NativeObject):
 
 class Interpreter:
     """One program instance: budget, heap, sinks and the root scope.
-
-    `atoms` is the registry of native entry points the core calls directly
-    (the `atoms` module): `while_atom`, `SnapshotHandle`, `anchor_atom`,
-    `data_attr`, `HOMES` and `ArrayObject`, the per-type op table `OPS`
-    that soft_resolve and the fused `recv.op args` read, and `MemoryCell`.
     `vocabulary` is the namespace that bare global names and `Q.<name>`
-    resolve in.
-    """
+    resolve in."""
 
-    def __init__(self, atoms, vocabulary, max_steps=1_000_000, stdout=None, stderr=None, trace=False):
-        self.atoms = atoms
+    def __init__(self, vocabulary, max_steps=1_000_000, stdout=None, stderr=None, trace=False):
         self.vocabulary = vocabulary
         self.max_steps = max_steps
         self.steps = 0
@@ -382,7 +379,7 @@ class Interpreter:
             return self.apply(head, [Thunk(a, owner) for a in args])
         if t is Dispatch:
             if term.attr == "while":
-                return self.atoms.while_atom(Thunk(term.recv, owner))
+                return atoms.while_atom(Thunk(term.recv, owner))
             recv = self.evaluate(term.recv, owner)
             found = self.soft_resolve(recv, term.attr)
             if found is _MISS:
@@ -393,10 +390,9 @@ class Interpreter:
         if t is Formation:
             return Closure(term, owner)
         if t is SnapshotRef:
-            return self.atoms.SnapshotHandle(Thunk(term.target, owner))
+            return atoms.SnapshotHandle(Thunk(term.target, owner))
         if t is Anchor:
-            return self.atoms.anchor_atom(Thunk(term.recv, owner))
-        raise AssertionError(f"unknown term {term!r}")
+            return atoms.anchor_atom(Thunk(term.recv, owner))
 
     def lookup(self, ident, owner):
         if ident in _SPECIAL:
@@ -417,9 +413,8 @@ class Interpreter:
                         node = node.lexical
                         continue
                     th = node.attr_thunk(ident, self)
-            if th.has_obj:
-                return th.obj
-            return th.force(self)
+            obj = th.obj
+            return obj if obj is not _UNSET else th.force(self)
         made = self.vocabulary.native_attr(self, ident)
         if made is not _MISS:
             return made
@@ -449,7 +444,7 @@ class Interpreter:
         while node is not None:
             th = node.attr_thunk("@", self)
             if th is not None:
-                busy = th.forcing or (th.has_obj and self.is_active(th.obj))
+                busy = th.forcing or self.is_active(th.obj)
                 if not busy:
                     return th.force(self)
             node = node.lexical
@@ -490,9 +485,8 @@ class Interpreter:
                     return self.special(name, obj, bare=False)
                 th = obj.bound.get(name) or obj._attrs.get(name) or obj.attr_thunk(name, self)
                 if th is not None:
-                    if th.has_obj:
-                        return th.obj
-                    return th.force(self)
+                    found = th.obj
+                    return found if found is not _UNSET else th.force(self)
                 if obj is self.root:
                     made = self.vocabulary.native_attr(self, name)
                     if made is not _MISS:
@@ -522,24 +516,24 @@ class Interpreter:
                         return AtomFn(hit[0], hit[1], obj)
                     found = obj.native_attr(self, name)
                     if found is not _MISS:
-                        return found
+                        return _check_int64(found)
                     if name == "&":
                         return HomeView(obj)
                     probe = obj.native_dataize(self)
                     if probe is _MISS:
                         return _MISS
-                    obj = probe
+                    obj = _check_int64(probe)
                     continue
                 obj = _plain_datum(obj, "resolve on")
             if name == "&":
                 return HomeView(obj)
-            return self.atoms.data_attr(self, obj, name)
+            return atoms.data_attr(self, obj, name)
 
     def home_of(self, obj):
         if isinstance(obj, Closure):
             return obj.lexical
         if is_datum(obj):
-            return self.atoms.HOMES[type(obj)]
+            return atoms.HOMES[type(obj)]
         return None
 
     # -- application --------------------------------------------------------
@@ -558,15 +552,16 @@ class Interpreter:
             return self.apply(self.run_cached(obj), arg_thunks)
         if t not in _EXACT_DATA:
             if isinstance(obj, NativeObject):
-                return obj.native_apply(self, arg_thunks)
+                return _check_int64(obj.native_apply(self, arg_thunks))
             obj = _plain_datum(obj, "apply")
         raise EvalFault("not-applicable", f"a data value ({obj!r}) cannot take arguments")
 
     # -- reduction & dataization ---------------------------------------------
 
     def run_cached(self, app):
-        if app.has_result:
-            return app.result
+        result = app.result
+        if result is not _UNSET:
+            return result
         if app.running:
             raise EvalFault(
                 "circular-reduction", f"{app.name} depends on its own result"
@@ -584,7 +579,6 @@ class Interpreter:
             self.depth -= 1
             app.running = False
         app.result = result
-        app.has_result = True
         app.args = app.bound = None
         return result
 
@@ -603,7 +597,7 @@ class Interpreter:
                 obj = self.run_cached(obj)
                 continue
             if t is Closure:
-                if obj._has_reduced:
+                if obj._reduced is not _UNSET:
                     return obj._reduced
                 th = obj._attrs.get("@") or obj.attr_thunk("@", self)
                 if th is None:
@@ -624,12 +618,11 @@ class Interpreter:
                 obj._reducing = True
                 self.depth += 1
                 try:
-                    reduced = self.deep_reduce(th.obj if th.has_obj else th.force(self))
+                    reduced = self.deep_reduce(th.force(self) if th.obj is _UNSET else th.obj)
                 finally:
                     self.depth -= 1
                     obj._reducing = False
                 obj._reduced = reduced
-                obj._has_reduced = True
                 return reduced
             if isinstance(obj, NativeObject):
                 obj.native_step(self)
@@ -646,11 +639,10 @@ class Interpreter:
         other argument, or a budget too short to tick ahead, goes on through
         deep_reduce from where it stands, so a nesting level costs no more
         frames than dataize would."""
-        if th.has_obj:
-            obj = th.obj
-        elif th.memo or th.forcing:
+        obj = th.obj
+        if obj is _UNSET and (th.memo or th.forcing):
             obj = th.force(self)
-        else:
+        elif obj is _UNSET:
             term = th.term
             t = type(term)
             th.forcing = True
@@ -663,10 +655,9 @@ class Interpreter:
             finally:
                 th.forcing = False
             th.obj = obj
-            th.has_obj = True
             th.owner = None
         t = type(obj)
-        if t is AtomApp and not obj.has_result and not obj.running and self.steps + 2 <= self.max_steps:
+        if t is AtomApp and obj.result is _UNSET and not obj.running and self.steps + 2 <= self.max_steps:
             # the ticks of deep_reduce and run_cached, then run_cached's trace line and depth
             self.steps += 2
             if self.trace:
@@ -679,7 +670,6 @@ class Interpreter:
                 self.depth -= 1
                 obj.running = False
             obj.result = result
-            obj.has_result = True
             obj.args = obj.bound = None
             obj = result
             t = type(obj)
@@ -714,7 +704,7 @@ class Interpreter:
         if isinstance(r, NativeObject):
             probe = r.native_dataize(self)
             if probe is not _MISS:
-                return probe if is_datum(probe) else self.dataize(probe, abstract)
+                return _check_int64(probe) if is_datum(probe) else self.dataize(probe, abstract)
             if not abstract:
                 raise EvalFault("missing-decoratee", f"{r.label} does not reduce to a datum")
         elif not abstract:
@@ -733,6 +723,9 @@ def snapshot(obj):
         twin = Closure(obj.term, obj.lexical, dict(obj.bound))
         twin._attrs = dict(obj._attrs)
         twin._reduced = obj._reduced
-        twin._has_reduced = obj._has_reduced
         return twin
     return obj
+
+
+# last, because atoms imports the classes above
+from . import atoms

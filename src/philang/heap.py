@@ -279,8 +279,6 @@ def block_write(view, value):
             raise EvalFault(
                 "bad-write", f"an integer needs an 8-byte block, this one has {view.length}"
             )
-        if not (INT64_MIN <= value <= INT64_MAX):
-            raise EvalFault("int64-overflow", f"{value} does not fit in a signed 64-bit cell")
         data = value.to_bytes(8, "little", signed=True)
     elif isinstance(value, str):
         data = value.encode("utf-8")

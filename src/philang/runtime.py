@@ -79,7 +79,6 @@ class Program:
                                 "a native object or a native object class")
         store = HeapStore(heap_size)
         self.interp = Interpreter(
-            atoms,
             atoms.vocabulary(store, extra=extra_builtins),
             max_steps=max_steps,
             stdout=stdout,

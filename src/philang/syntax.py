@@ -17,12 +17,6 @@ class SourceSpan:
     def __str__(self):
         return f"{self.file}:{self.first}-{self.last}"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, SourceSpan)
-            and (self.file, self.first, self.last) == (other.file, other.first, other.last)
-        )
-
 
 class Term:
     """Base node. `span` is filled in by the parser for every node."""

@@ -644,8 +644,11 @@ def test_extra_builtin_shadows_a_global():
     assert program.run() == 0
 
 
-# One program per fault site that no other test reaches, with the kind and
-# message it must fail with.
+# a block `v` of n bytes at the start of a fresh allocation, read by `decoder`
+_BLOCK = "[] > main\n  heap.malloc 16 > a\n  (a.pointer 0 {n}).block > v\n    {n}\n    [b] ({decoder} > @)\n"
+
+# One program per fault site whose kind and message no other test pins, with
+# the kind and message it must fail with.
 FAULT_SITES = {
     "bad-index": ('[] > main\n  array 1 2 > a\n  a.get "x" > @\n',
                   "bad-index: array index must be an integer, got 'x'"),
@@ -661,6 +664,57 @@ FAULT_SITES = {
     "type-error": ('[] > main\n  "ab".starts 5 > @\n', "type-error: starts compares strings"),
     "cage-empty": ("[] > main\n  cage > c\n  c' > s\n  s.< > @\n",
                    "cage-empty: snapshot anchor on an empty cage"),
+    "not-applicable-goto": ("[] > main\n  goto > @\n    [g]\n      g 1 > @\n",
+                            "not-applicable: a goto token is not applicable; use .forward/.backward"),
+    "arity-payload-twice": ("[] > main\n  try > @\n    [t]\n      (t 1) 2 > @\n    [e]\n      e > @\n    TRUE\n",
+                            "arity: thrown already carries a payload"),
+    "non-boolean-while": ("[] > main\n  5.while > @\n    [i]\n      i > @\n",
+                          "non-boolean-condition: while condition reduced to 5"),
+    "bad-scope-try-catch": ("[] > main\n  try > @\n    [t]\n      1 > @\n    5\n    TRUE\n",
+                            "bad-scope: try expects a one-parameter catch object"),
+    "type-error-less": ('[] > main\n  1.less "a" > @\n', "type-error: less needs a number, got 'a'"),
+    "type-error-malloc": ('[] > main\n  heap.malloc "x" > @\n', "type-error: malloc needs an integer, got 'x'"),
+    "bad-format-not-string": ("[] > main\n  sprintf 5 > @\n",
+                              "bad-format: sprintf format must be a string, got 5"),
+    "bad-format-dangling": ('[] > main\n  sprintf "a%" > @\n', "bad-format: dangling % at end of format string"),
+    "bad-format-d": ('[] > main\n  sprintf "%d" "x" > @\n', "bad-format: %d needs an integer, got 'x'"),
+    "bad-format-f": ('[] > main\n  sprintf "%f" "x" > @\n', "bad-format: %f needs a number, got 'x'"),
+    "bad-format-verb": ('[] > main\n  sprintf "%q" 1 > @\n', "bad-format: unsupported verb %q"),
+    "bad-format-left-over": ('[] > main\n  sprintf "a" 1 > @\n', "bad-format: 1 sprintf argument(s) left over"),
+    "bad-format-no-argument": ('[] > main\n  sprintf "%d" > @\n', "bad-format: no argument left for %d"),
+    "bad-pointer-stride": ("[] > main\n  heap.pointer 64 0 > @\n",
+                           "bad-pointer: pointer stride must be positive, got 0"),
+    "bad-pointer-address": ("[] > main\n  heap.pointer -1 8 > @\n",
+                            "bad-pointer: pointer address must be non-negative, got -1"),
+    "bad-block": ("[] > main\n  heap.malloc 16 > a\n  (a.pointer 0 8).block 0 ([b] (b.as-int > @)) > @\n",
+                  "bad-block: block length must be positive, got 0"),
+    "bad-write-bool": (_BLOCK.format(n=8, decoder="b.as-int") + "  v.write TRUE > @\n",
+                       "bad-write: booleans cannot be written into a heap block"),
+    "bad-write-int": (_BLOCK.format(n=4, decoder="b.as-int") + "  v.write 5 > @\n",
+                      "bad-write: an integer needs an 8-byte block, this one has 4"),
+    "bad-write-bytes": ("[] > main\n  heap.malloc 16 > a\n  (a.pointer 0 8).block > v8\n    8\n    [b] (b > @)\n"
+                        "  (a.pointer 8 4).block > v4\n    4\n    [b] (b > @)\n  v4.write v8 > @\n",
+                        "bad-write: byte value of 8 does not match block length 4"),
+    "bad-write-float": (_BLOCK.format(n=8, decoder="b.as-int") + "  v.write 1.5 > @\n",
+                        "bad-write: cannot encode 1.5 into heap bytes"),
+    "bad-bytes-utf8": (_BLOCK.format(n=8, decoder="b.as-string") + "  seq > @\n    v.write -1\n    v\n",
+                       "bad-bytes: bytes are not valid UTF-8: 'utf-8' codec can't decode byte 0xff "
+                       "in position 0: invalid start byte"),
+    "bad-bytes-int": (_BLOCK.format(n=4, decoder="b.as-int") + "  v > @\n",
+                      "bad-bytes: as-int needs exactly 8 bytes, got 4"),
+    "partial-application-lookup": ("[x] > f\n  x > y\nf.y\n",
+                                   "partial-application: parameter 'x' of f was never bound"),
+    "unknown-name-decoratee": ("[] > main\n  @ > @\n",
+                               "unknown-name: @ used where no enclosing object has a decoratee"),
+    "circular-reduction-deep": ("[] > a\n  a > @\na\n", "circular-reduction: a decorates its own reduction"),
+    "missing-decoratee-native": ("[] > main\n  stdout heap > @\n",
+                                 "missing-decoratee: heap does not reduce to a datum"),
+    "not-applicable-native": ("[] > main\n  heap 1 > @\n", "not-applicable: heap cannot be copied with arguments"),
+    # the try token outlives its body in a cage and is thrown from the catch,
+    # where its own try no longer absorbs it
+    "escaping-signal": ("[] > main\n  cage > c\n  try > @\n    [t]\n      seq > @\n        c.write t\n"
+                        "        t 1\n    [e]\n      c 2 > @\n    TRUE\n",
+                        "escaping-signal: a thrown signal escaped the program root"),
 }
 
 

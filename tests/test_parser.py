@@ -53,6 +53,20 @@ def test_odd_indent_is_an_error_naming_the_line():
     assert "bad.phi:1" in str(e.value)
 
 
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("(1 > a)\n", "bad.phi:0: named expression outside any formation"),
+        ("[] > main\n  add. > @\n    1 > x\n    2\n",
+         "bad.phi:1: the receiver of a reversed dispatch cannot bind a name"),
+    ],
+)
+def test_named_expression_fault_sites(src, message):
+    with pytest.raises(SyntaxFault) as e:
+        parse_program(src, "bad.phi")
+    assert str(e.value) == message
+
+
 def test_tab_indent_rejected():
     with pytest.raises(SyntaxFault):
         parse_program("[x] > f\n\tmemory > i\n", "bad.phi")

@@ -113,3 +113,27 @@ def test_mutated_corpus_parse_is_pinned():
     # both kinds of outcome are well represented
     assert 200 < faults < MUTATIONS - 200
     assert digest(outcomes) == MUTATIONS_SHA256
+
+
+def test_every_parsed_application_has_an_argument():
+    # the atoms rely on it: seq and sprintf are never applied to no argument
+    applications = 0
+    for file, text in corpus_texts() + mutants():
+        try:
+            stack = [t for _n, _c, t in parse_entries(text, file)]
+        except SyntaxFault:
+            continue
+        while stack:
+            term = stack.pop()
+            kind = type(term)
+            if kind is Application:
+                assert term.args, (file, text)
+                applications += 1
+                stack += [term.head, *term.args]
+            elif kind is Dispatch or kind is Anchor:
+                stack.append(term.recv)
+            elif kind is SnapshotRef:
+                stack.append(term.target)
+            elif kind is Formation:
+                stack += [bterm for _name, bterm, _const in term.bindings]
+    assert applications > 10_000

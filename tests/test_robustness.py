@@ -6,6 +6,7 @@ import sys
 import pytest
 
 import philang
+from philang.core import NativeObject
 from philang.errors import BudgetExceeded, EvalFault, SyntaxFault
 from philang.parser import MAX_NESTING
 from philang.runtime import Program
@@ -210,6 +211,46 @@ def test_foreign_extra_builtin_is_a_config_fault(value, src):
     )
 
 
+class _Foreign(NativeObject):
+    """A native object whose one hook (`dataize`, `attr` or `apply`) hands
+    back `value`."""
+
+    def __init__(self, hook, value):
+        self.hook = hook
+        self.value = value
+
+    def native_dataize(self, interp):
+        return self.value if self.hook == "dataize" else super().native_dataize(interp)
+
+    def native_attr(self, interp, name):
+        return self.value if self.hook == "attr" else super().native_attr(interp, name)
+
+    def native_apply(self, interp, arg_thunks):
+        return self.value if self.hook == "apply" else super().native_apply(interp, arg_thunks)
+
+
+@pytest.mark.parametrize(
+    "hook, value, src, message",
+    [
+        ("dataize", [1], "x\n", "builtins-config: cannot reduce [1], which a native object handed back"),
+        ("dataize", None, "x.add 1\n",
+         "builtins-config: cannot resolve on None, which a native object handed back"),
+        ("attr", None, "x.x\n", "builtins-config: cannot reduce None, which a native object handed back"),
+        ("attr", None, "x.x 1\n", "builtins-config: cannot apply None, which a native object handed back"),
+        ("dataize", 2**70, "x\n", f"int64-overflow: {2**70} does not fit in a signed 64-bit integer"),
+        ("dataize", 2**70, "stdout x\n", f"int64-overflow: {2**70} does not fit in a signed 64-bit integer"),
+        ("attr", 2**70, "x.x\n", f"int64-overflow: {2**70} does not fit in a signed 64-bit integer"),
+        ("apply", 2**70, "x 1\n", f"int64-overflow: {2**70} does not fit in a signed 64-bit integer"),
+    ],
+)
+def test_foreign_value_from_a_native_hook_is_a_fault(hook, value, src, message):
+    # what a hook hands back is checked where it enters the core, so nothing
+    # but a PhilangError leaves Program.run and no int outside int64 escapes
+    with pytest.raises(EvalFault) as e:
+        run_src(src, extra_builtins={"x": _Foreign(hook, value)})
+    assert str(e.value) == message
+
+
 def test_extra_builtin_at_the_int64_edge_or_a_native_class_runs():
     from philang.atoms import MemoryCell
 
@@ -362,6 +403,20 @@ def test_import_leaves_the_recursion_limit_alone():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                          check=True, timeout=60).stdout.split()
     assert out[0] == out[1]
+
+
+@pytest.mark.parametrize("module", ["philang.core", "philang.atoms", "philang.cli"])
+def test_each_module_imports_first(module):
+    # core and atoms import each other, so importing any one module first must work
+    src = os.path.dirname(os.path.dirname(os.path.abspath(philang.__file__)))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = (
+        f"import {module}; from philang.runtime import run_text; "
+        "print(run_text('[] > main\\n  stdout (1.add 2) > @\\n'))"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out == "(b'3', b'', True)\n"
 
 
 def test_run_leaves_the_cycle_collector_as_it_found_it():
