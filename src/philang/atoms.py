@@ -16,6 +16,7 @@ import math
 from . import heap as heapmod
 from .core import (
     _MISS,
+    _UNSET,
     _check_int64,
     AtomApp,
     AtomFn,
@@ -209,15 +210,14 @@ def _run_try(interp, _bound, args):
 
 
 class MemoryCell(NativeObject):
-    __slots__ = ("written", "value")
+    __slots__ = ("value",)
     label = "memory"
 
     def __init__(self):
-        self.value = None
-        self.written = False
+        self.value = _UNSET
 
     def native_dataize(self, interp):
-        if not self.written:
+        if self.value is _UNSET:
             raise EvalFault("memory-unset", "memory read before the first write")
         return self.value
 
@@ -226,7 +226,6 @@ def _run_memory_write(interp, cell, args):
     _arity(args, 1, "memory.write")
     value = interp.force_datum(args[0])
     cell.value = value
-    cell.written = True
     return value
 
 
@@ -251,10 +250,10 @@ class CageSlot(Forwarder):
     label = "cage"
 
     def __init__(self):
-        self.stored = None
+        self.stored = _UNSET
 
     def content(self, what):
-        if self.stored is None:
+        if self.stored is _UNSET:
             raise EvalFault("cage-empty", f"cage {what} before the first write")
         return self.stored
 
@@ -268,28 +267,26 @@ def _run_cage_write(interp, slot, args):
 class SnapshotHandle(Forwarder):
     """`x' > c` makes this handle; `c.<` captures x's current content."""
 
-    __slots__ = ("target_thunk", "captured", "anchored")
+    __slots__ = ("target_thunk", "captured")
     label = "snapshot"
 
     def __init__(self, target_thunk):
         self.target_thunk = target_thunk
-        self.captured = None
-        self.anchored = False
+        self.captured = _UNSET
 
     def content(self, what):
-        if not self.anchored:
+        if self.captured is _UNSET:
             raise EvalFault("snapshot-unanchored", "snapshot used before its .< anchor")
         return self.captured
 
     def anchor(self, interp):
         target = self.target_thunk.force(interp)
         if isinstance(target, CageSlot):
-            if target.stored is None:
+            if target.stored is _UNSET:
                 raise EvalFault("cage-empty", "snapshot anchor on an empty cage")
             self.captured = snapshot(target.stored)
         else:
             self.captured = snapshot(target)
-        self.anchored = True
         return True
 
 

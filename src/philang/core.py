@@ -21,12 +21,13 @@ identity; goto/try scopes absorb exactly their own token.
 Step accounting is the semantic clock: the step budget decides where a
 divergent program stops, so every evaluate, resolve, apply, reduction and
 atom run counts one step, in a fixed order. The hot dispatch is
-specialized for speed without moving a step: evaluate, soft_resolve,
-apply and deep_reduce branch on the exact type of their subject, common
-cases first, count their step inline instead of calling tick(), and reach
-a formation's bindings through its binding index. Only run_cached calls
-trace_step when tracing is off; the traced benchmark counts its misses
-that way.
+specialized for speed without moving a step: evaluate, apply and
+deep_reduce branch on the exact type of their subject, common cases
+first, and count their step inline instead of calling tick(); lookup
+reaches a formation's bindings through its binding index. The paths that
+programs seldom take (soft_resolve, the special names, the home walk) are
+written plainly. run_cached calls trace_step even when tracing is off, so
+the traced benchmark can count its misses.
 
 Two node sequences are fused into one Python frame (superinstructions,
 guarded per call site). evaluate builds `recv.op args` for any receiver
@@ -38,8 +39,8 @@ arrays and data homes), or the value is a written memory cell whose datum
 has op there, it returns the AtomApp the general path would reach through
 soft_resolve and apply; the guard is one hit in that per-type table.
 force_datum, the argument read of every atom that dataizes one, evaluates
-a literal or name, runs an atom application and reads a native object
-in its own frame. They keep the clock exact by one rule: tick the steps
+a literal or name, runs an atom application and reads a written memory
+cell in its own frame. They keep the clock exact by one rule: tick the steps
 the general path would tick, in its order, with the budget checked before
 each is counted (k at once only when all k fit; after a lookup or an
 evaluation, which can tick, from self.steps as it then stands). When a
@@ -248,7 +249,7 @@ class AtomApp:
 
 
 class HomeView(NativeObject):
-    """`x.&`: resolves attributes along x, home(x), home(home(x)), ..."""
+    """`x.&`: resolves attributes along x and its homes: a closure's parent, a datum's DataHome."""
 
     __slots__ = ("start",)
     label = "home"
@@ -262,7 +263,7 @@ class HomeView(NativeObject):
             found = interp.soft_resolve(node, name)
             if found is not _MISS:
                 return found
-            node = interp.home_of(node)
+            node = node.lexical if type(node) is Closure else atoms.HOMES.get(type(node))
         return _MISS
 
 
@@ -360,7 +361,7 @@ class Interpreter:
                 bound = v
                 k = 2
                 hit = self._ops.get(type(v), _NO_OPS).get(attr)
-                if hit is None and type(v) is self._cell and v.written:
+                if hit is None and type(v) is self._cell and v.value is not _UNSET:
                     # op of the datum the cell holds, resolved one tick later
                     bound = v.value
                     hit = self._ops[type(bound)].get(attr)
@@ -430,7 +431,7 @@ class Interpreter:
         if name == "&":
             return HomeView(obj)
         if name == "^":
-            if obj is None or obj.lexical is None:
+            if obj.lexical is None:
                 where = "^ used where there is" if bare else f"{obj.label()} has"
                 raise EvalFault("no-parent", f"{where} no enclosing object")
             return obj.lexical
@@ -443,18 +444,13 @@ class Interpreter:
         node = owner
         while node is not None:
             th = node.attr_thunk("@", self)
-            if th is not None:
-                busy = th.forcing or self.is_active(th.obj)
+            if th is not None and not th.forcing:
+                obj = th.obj
+                busy = obj.running if type(obj) is AtomApp else type(obj) is Closure and obj._reducing
                 if not busy:
                     return th.force(self)
             node = node.lexical
         raise EvalFault("unknown-name", "@ used where no enclosing object has a decoratee")
-
-    def is_active(self, obj):
-        t = type(obj)
-        if t is AtomApp:
-            return obj.running
-        return t is Closure and obj._reducing
 
     def prepare_blocks(self, closure, blocks):
         """Run the `.block` bindings `blocks`, each a (name, term) pair
@@ -473,20 +469,19 @@ class Interpreter:
         return EvalFault("attribute-not-found", f"{self.describe(obj)} has no attribute {name!r}")
 
     def soft_resolve(self, obj, name):
-        seen = None
+        """Attribute `name` of obj, or _MISS, through atom runs and decoratees."""
+        seen = set()
         while True:
-            steps = self.steps + 1
-            self.steps = steps
-            if steps > self.max_steps:
-                raise BudgetExceeded(self.max_steps)
+            self.tick()
             t = type(obj)
-            if t is Closure:
+            if t is AtomApp:
+                obj = self.run_cached(obj)
+            elif t is Closure:
                 if name in _SPECIAL:
                     return self.special(name, obj, bare=False)
-                th = obj.bound.get(name) or obj._attrs.get(name) or obj.attr_thunk(name, self)
+                th = obj.bound.get(name) or obj.attr_thunk(name, self)
                 if th is not None:
-                    found = th.obj
-                    return found if found is not _UNSET else th.force(self)
+                    return th.force(self)
                 if obj is self.root:
                     made = self.vocabulary.native_attr(self, name)
                     if made is not _MISS:
@@ -494,47 +489,33 @@ class Interpreter:
                 at = obj.attr_thunk("@", self)
                 if at is None:
                     return _MISS
-                if seen is None:
-                    seen = set()
                 if id(obj) in seen:
                     raise EvalFault(
                         "circular-reduction",
                         f"decoration of {obj.label()} loops back on itself",
                     )
                 seen.add(id(obj))
-                if self.trace:
-                    self.trace_step(obj)
+                self.trace_step(obj)
                 obj = at.force(self)
-                continue
-            if t is AtomApp:
-                obj = self.run_cached(obj)
-                continue
-            if t not in _EXACT_DATA:
-                if isinstance(obj, NativeObject):
-                    hit = self._ops.get(t, _NO_OPS).get(name)
-                    if hit is not None:
-                        return AtomFn(hit[0], hit[1], obj)
-                    found = obj.native_attr(self, name)
-                    if found is not _MISS:
-                        return _check_int64(found)
-                    if name == "&":
-                        return HomeView(obj)
-                    probe = obj.native_dataize(self)
-                    if probe is _MISS:
-                        return _MISS
-                    obj = _check_int64(probe)
-                    continue
-                obj = _plain_datum(obj, "resolve on")
-            if name == "&":
-                return HomeView(obj)
-            return atoms.data_attr(self, obj, name)
-
-    def home_of(self, obj):
-        if isinstance(obj, Closure):
-            return obj.lexical
-        if is_datum(obj):
-            return atoms.HOMES[type(obj)]
-        return None
+            elif isinstance(obj, NativeObject):
+                hit = self._ops.get(t, _NO_OPS).get(name)
+                if hit is not None:
+                    return AtomFn(hit[0], hit[1], obj)
+                found = obj.native_attr(self, name)
+                if found is not _MISS:
+                    return _check_int64(found)
+                if name == "&":
+                    return HomeView(obj)
+                probe = obj.native_dataize(self)
+                if probe is _MISS:
+                    return _MISS
+                obj = _check_int64(probe)
+            else:
+                if t not in _EXACT_DATA:
+                    obj = _plain_datum(obj, "resolve on")
+                if name == "&":
+                    return HomeView(obj)
+                return atoms.data_attr(self, obj, name)
 
     # -- application --------------------------------------------------------
 
@@ -633,12 +614,11 @@ class Interpreter:
         """`self.dataize(th.force(self))`, the argument read of every atom
         that dataizes one, in one frame for the common arguments: a literal
         or a name is evaluated here, an atom application (a fused `r.op x`
-        above all) is run here, and a cell or another native object (a
-        block view, say) is stepped and read here, ticking, tracing and
-        counting depth as evaluate, deep_reduce and run_cached would. Any
-        other argument, or a budget too short to tick ahead, goes on through
-        deep_reduce from where it stands, so a nesting level costs no more
-        frames than dataize would."""
+        above all) is run here, and a written memory cell is read here,
+        ticking, tracing and counting depth as evaluate, deep_reduce and
+        run_cached would. Any other argument, or a budget too short to tick
+        ahead, goes on through deep_reduce from where it stands, so a
+        nesting level costs no more frames than dataize would."""
         obj = th.obj
         if obj is _UNSET and (th.memo or th.forcing):
             obj = th.force(self)
@@ -677,14 +657,9 @@ class Interpreter:
             if t in _EXACT_DATA:
                 self.steps += 1
                 return obj
-            if t is self._cell and obj.written:
+            if t is self._cell and obj.value is not _UNSET:
                 self.steps += 1
                 return obj.value
-            if isinstance(obj, NativeObject):
-                # deep_reduce's one step on a native object and its hook, then the read
-                self.steps += 1
-                obj.native_step(self)
-                return self._read_datum(obj, False)
         r = self.deep_reduce(obj)
         return r if type(r) in _EXACT_DATA else self._read_datum(r, False)
 
@@ -717,8 +692,6 @@ class Interpreter:
 
 def snapshot(obj):
     """Shallow copy: the attribute map is duplicated at this moment."""
-    if is_datum(obj):
-        return obj
     if isinstance(obj, Closure):
         twin = Closure(obj.term, obj.lexical, dict(obj.bound))
         twin._attrs = dict(obj._attrs)

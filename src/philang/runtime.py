@@ -42,8 +42,14 @@ def _recursion_headroom():
 
 def _valid_builtin(value):
     """Whether the core can run `value` as a global: a datum (an int inside
-    int64), a NativeObject, or a NativeObject class made anew per mention."""
+    int64), a NativeObject, or a NativeObject class made anew, with no
+    arguments, per mention."""
     if isinstance(value, type):
+        import inspect  # here, not at the top: it costs start-up time and memory on every run
+        try:
+            inspect.signature(value).bind()
+        except (TypeError, ValueError):
+            return False
         return issubclass(value, NativeObject)
     if isinstance(value, int):
         return INT64_MIN <= value <= INT64_MAX

@@ -707,6 +707,8 @@ FAULT_SITES = {
     "unknown-name-decoratee": ("[] > main\n  @ > @\n",
                                "unknown-name: @ used where no enclosing object has a decoratee"),
     "circular-reduction-deep": ("[] > a\n  a > @\na\n", "circular-reduction: a decorates its own reduction"),
+    "circular-reduction-decoration": ("[] > a\n  b > @\n[] > b\n  a > @\na.x\n",
+                                      "circular-reduction: decoration of a loops back on itself"),
     "missing-decoratee-native": ("[] > main\n  stdout heap > @\n",
                                  "missing-decoratee: heap does not reduce to a datum"),
     "not-applicable-native": ("[] > main\n  heap 1 > @\n", "not-applicable: heap cannot be copied with arguments"),

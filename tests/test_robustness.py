@@ -197,12 +197,31 @@ def test_negative_step_budget_is_a_config_fault():
         Program("42\n", max_steps=0).run()
 
 
+class _Needs(NativeObject):
+    """A native object class that cannot be made without an argument."""
+
+    def __init__(self, a):
+        self.a = a
+
+
+class _Defaults(NativeObject):
+    """A native object class whose every parameter has a default."""
+
+    def __init__(self, a=4):
+        self.a = a
+
+    def native_dataize(self, interp):
+        return self.a
+
+
 @pytest.mark.parametrize(
     "value, src",
-    [([1, 2], "x\n"), (None, "x.add 1\n"), (2**70, "x\n"), (-(2**63) - 1, "x\n"), (list, "x\n")],
+    [([1, 2], "x\n"), (None, "x.add 1\n"), (2**70, "x\n"), (-(2**63) - 1, "x\n"), (list, "x\n"),
+     (_Needs, "x\n")],
 )
 def test_foreign_extra_builtin_is_a_config_fault(value, src):
-    # the core runs only data, native objects and native object classes
+    # the core runs only data, native objects and native object classes it
+    # can make with no arguments
     with pytest.raises(EvalFault) as e:
         run_src(src, extra_builtins={"x": value})
     assert str(e.value) == (
@@ -237,6 +256,9 @@ class _Foreign(NativeObject):
          "builtins-config: cannot resolve on None, which a native object handed back"),
         ("attr", None, "x.x\n", "builtins-config: cannot reduce None, which a native object handed back"),
         ("attr", None, "x.x 1\n", "builtins-config: cannot apply None, which a native object handed back"),
+        # a cage that holds the None a hook handed back is written, not empty
+        ("attr", None, "[] > main\n  cage > c\n  seq > @\n    c.write (x.x)\n    c\n",
+         "builtins-config: cannot reduce None, which a native object handed back"),
         ("dataize", 2**70, "x\n", f"int64-overflow: {2**70} does not fit in a signed 64-bit integer"),
         ("dataize", 2**70, "stdout x\n", f"int64-overflow: {2**70} does not fit in a signed 64-bit integer"),
         ("attr", 2**70, "x.x\n", f"int64-overflow: {2**70} does not fit in a signed 64-bit integer"),
@@ -257,6 +279,7 @@ def test_extra_builtin_at_the_int64_edge_or_a_native_class_runs():
     assert run_src("x\n", extra_builtins={"x": -(2**63)})[1] == -(2**63)
     src = "[] > main\n  cell > m\n  seq > @\n    m.write 3\n    m\n"
     assert run_src(src, extra_builtins={"cell": MemoryCell})[1] == 3
+    assert run_src("x.add 1\n", extra_builtins={"x": _Defaults})[1] == 5
 
 
 def test_budget_is_deterministic():
@@ -332,6 +355,26 @@ def test_too_deeply_nested_lines_are_a_syntax_fault(depth):
     with pytest.raises(SyntaxFault):
         Program(_seq_chain(depth))
     assert sys.getrecursionlimit() == limit
+
+
+def _below(frames, fn):
+    """fn() called `frames` Python frames deeper than this call."""
+    return fn() if frames <= 0 else _below(frames - 1, fn)
+
+
+def test_parser_out_of_stack_is_a_syntax_fault():
+    # a caller deep in its own stack leaves the parser too little of a
+    # 3,000-frame limit for a MAX_NESTING-deep program: RecursionError is
+    # mapped to a SyntaxFault, and the caller's limit is left as it was
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(3000)
+    try:
+        with pytest.raises(SyntaxFault) as e:
+            _below(2500, lambda: Program(_seq_chain(MAX_NESTING)))
+        assert str(e.value) == "program nesting exceeds what the parser can hold"
+        assert sys.getrecursionlimit() == 3000
+    finally:
+        sys.setrecursionlimit(limit)
 
 
 def test_too_deeply_nested_parentheses_are_a_syntax_fault():

@@ -379,6 +379,42 @@ GUARD_MISSES = {
         "[y] > inc\n  1.add y > @\n[] > main\n  inc' > f\n  5' > five\n"
         "  seq > @\n    f.<\n    five.<\n    f five\n",
         ("value", 6), 40),
+    # The cold paths of the resolver, the special names, the home walk and
+    # an atom's argument read, recorded before they were written plainly.
+    "cage-datum-argument": (
+        '[] > main\n  cage > c\n  seq > @\n    c.write "hi"\n    stdout c\n',
+        ("value", True), 27),
+    "allocation-argument": (
+        "[] > main\n  heap.malloc 8 > a\n  1.add a > @\n",
+        ("value", 1), 22),
+    "cage-forwards-amp": (
+        '[] > main\n  cage > c\n  seq > @\n    c.write 5\n    c.&.subtype-of "Int"\n',
+        ("value", True), 34),
+    "decoratee-heap": (
+        "[] > w\n  heap > @\n[] > main\n  (w.malloc 8).pointer 0 8 > @\n",
+        ("value", 0), 26),
+    "decoratee-five": (
+        "[] > five\n  5 > @\n[] > main\n  five.add 1 > @\n",
+        ("value", 6), 16),
+    "decoration-loop": (
+        "[] > a\n  b > @\n[] > b\n  a > @\n[] > main\n  a.x > @\n",
+        ("EvalFault", "circular-reduction: decoration of a loops back on itself"), 12),
+    "bare-decoratee-forcing": (
+        "[] > outer\n  7 > @\n  [] > inner\n    @.add 1 > @\n[] > main\n  outer.inner > @\n",
+        ("value", 8), 20),
+    "bare-decoratee-running": (
+        "[] > outer\n  7 > @\n  [] > inner\n    seq > @\n      @.add 1\n[] > main\n  outer.inner > @\n",
+        ("value", 8), 26),
+    "bare-decoratee-reducing": (
+        "[] > outer\n  7 > @\n  [] > inner\n    [] > @\n      @.add 1 > @\n[] > main\n"
+        "  outer.inner > @\n",
+        ("value", 8), 22),
+    "parent-of-root": (
+        "[] > main\n  ^.^ > @\n",
+        ("EvalFault", "no-parent: Q has no enclosing object"), 6),
+    "snapshot-unanchored": (
+        "[] > main\n  5' > f\n  f.add 1 > @\n",
+        ("EvalFault", "snapshot-unanchored: snapshot used before its .< anchor"), 8),
 }
 
 
@@ -388,6 +424,32 @@ def test_guard_miss_matches_the_traced_run(name):
     untraced = _outcome(text, name + ".phi", 1000, trace=False)
     assert untraced[:2] == (outcome, steps)
     assert untraced == _outcome(text, name + ".phi", 1000, trace=True)
+
+
+# SHA-256 per cold-path case of GUARD_MISSES over (budget, outcome, steps,
+# stdout) at every budget from 1 to one past its step count, hashed as
+# SWEEP_SHA256 is. Recorded before those paths were written plainly.
+COLD_SWEEP_SHA256 = {
+    "allocation-argument": "ce03ab74b469939fa1408b28a789366d54e06c8993ea516a11af6b218d6d698d",
+    "bare-decoratee-forcing": "812adc94d96fe89f2f282634b5745b4b5c0ecaee483feba7b6f34b1971495299",
+    "bare-decoratee-reducing": "a3709eb37cbb0514dbe803e8dd1d936524f2dfff49df6d58f2c5cfddba5ef87d",
+    "bare-decoratee-running": "335937bbf55782eb9636e7c3864a46e5c3221be02ded0186297e11f1d9abbab5",
+    "cage-datum-argument": "5a6183e9bb717b9b9fa18660e3187b95ac8e08e044573b837c30c34419e7ad6d",
+    "cage-forwards-amp": "3648823053a07d2a36042174ba10825a9849eaec4f366e1ef186d7a74046a667",
+    "decoratee-five": "031ad57f2ada3543854272e67f90ead9db362a5fdfac87da51ca624db6143342",
+    "decoratee-heap": "f9d8a8d3813ddf5a7f9d2679d5a094a4f43d9e8c5d49051eb046b5992a5a4145",
+    "decoration-loop": "fec3b4b4b0de706fe28f419bf53155e523e1d85afc749e6ad3fb65b880a8e407",
+    "parent-of-root": "31446f987bebe5b01f07bb7ce2f6d8554c12791860dbf4159d529c10197cadc2",
+    "snapshot-unanchored": "109b7419766360a5ab25bcfe949dd89058a6b387a85143ee8bfaaf57f5cd0c68",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COLD_SWEEP_SHA256))
+def test_cold_path_budget_sweep(name):
+    text, _outcome_at_1000, steps = GUARD_MISSES[name]
+    budgets = range(1, steps + 2)
+    outcomes = [_outcome(text, name + ".phi", budget, trace=False) for budget in budgets]
+    assert _digest(budgets, outcomes) == COLD_SWEEP_SHA256[name]
 
 
 # A closure reduces its decoration once: dataizing the same `hi` again reads
