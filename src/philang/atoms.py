@@ -236,10 +236,10 @@ class Forwarder(NativeObject):
     __slots__ = ()
 
     def native_attr(self, interp, name):
-        return interp.soft_resolve(self.content(f"read ({name})"), name)
+        return interp.pass_on(self, self.content(f"read ({name})"), name)
 
     def native_apply(self, interp, arg_thunks):
-        return interp.apply(self.content("applied"), arg_thunks)
+        return interp.pass_on(self, self.content("applied"), None, arg_thunks)
 
     def native_dataize(self, interp):
         return self.content("dataized")
@@ -346,8 +346,8 @@ def _not_a_number(op, b):
 
 
 # The receiver `a` of arithmetic and comparison is an exact int or float
-# (data_attr and the core bind these runners to nothing else), and the
-# argument `b`, read by force_datum, is of an exact data type.
+# (the core binds these runners to nothing else), and the argument `b`, read
+# by force_datum, is of an exact data type.
 def _run_arith(op):
     def run(interp, a, args):
         _arity(args, 1, op)
@@ -422,11 +422,8 @@ def _run_starts(interp, left, args):
     return left.startswith(prefix)
 
 
-def data_attr(interp, value, name):
-    """Native attributes of terminal data; `value` is of an exact data type."""
-    hit = OPS[type(value)].get(name)
-    if hit is not None:
-        return AtomFn(hit[0], hit[1], bound=value)
+def data_attr(value, name):
+    """Attributes of terminal data outside OPS; `value` is of an exact data type."""
     if name == "as-string":
         return AtomApp("as-string", _run_as_string, value, [])
     if name == "as-int" and type(value) in (int, float, bytes):
@@ -470,7 +467,7 @@ HOMES = {
 def _run_stdout(interp, _bound, args):
     _arity(args, 1, "stdout")
     text = to_text(interp.force_datum(args[0]))
-    interp.out(text)
+    interp.emit(interp.stdout, text)
     return True
 
 
@@ -632,9 +629,9 @@ def _run_block_write(interp, view_obj, args):
 # -- the op table ---------------------------------------------------------------
 
 # Per exact receiver type, each attribute that is an atom bound to the
-# receiver, as (label, runner): data_attr and soft_resolve make an AtomFn of
-# it, and Interpreter.evaluate builds the application of `r.op args` from it
-# in place.
+# receiver, as (label, runner): soft_resolve makes an AtomFn of it, and
+# Interpreter.evaluate builds the application of `r.op args` from it in
+# place.
 _NUMBER_OPS = {"eq": ("eq", _run_eq), **{op: (op, _run_arith(op)) for op in ("add", "sub", "mul", "div")},
                **{op: (op, _run_cmp(op)) for op in ("less", "greater")}}
 OPS = {

@@ -19,26 +19,24 @@ from .core import is_datum
 def _build_argparser():
     ap = argparse.ArgumentParser(prog="philang", description=__doc__)
     sub = ap.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)  # the flags of run and eval
+    common.add_argument("--trace", action="store_true", help="print dataization steps to stderr")
+    common.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
+    common.add_argument("--heap-size", type=int, default=DEFAULT_HEAP_SIZE)
 
-    run = sub.add_parser("run", help="run a program file")
+    run = sub.add_parser("run", parents=[common], help="run a program file")
     run.add_argument("file")
-    run.add_argument("--trace", action="store_true", help="print dataization steps to stderr")
     run.add_argument(
         "--traceability",
         action="store_true",
         help="attach synthetic source attributes to every formation",
     )
-    run.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    run.add_argument("--heap-size", type=int, default=DEFAULT_HEAP_SIZE)
 
     cor = sub.add_parser("corpus", help="run the feature corpus against its goldens")
     cor.add_argument("glob", nargs="?", default=None, help="filter entry ids (glob)")
 
-    ev = sub.add_parser("eval", help="dataize an expression and print the result")
+    ev = sub.add_parser("eval", parents=[common], help="dataize an expression and print the result")
     ev.add_argument("expr")
-    ev.add_argument("--trace", action="store_true")
-    ev.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS)
-    ev.add_argument("--heap-size", type=int, default=DEFAULT_HEAP_SIZE)
 
     return ap
 

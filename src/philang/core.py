@@ -260,7 +260,7 @@ class HomeView(NativeObject):
     def native_attr(self, interp, name):
         node = self.start
         while node is not None:
-            found = interp.soft_resolve(node, name)
+            found = interp.pass_on(self, node, name)
             if found is not _MISS:
                 return found
             node = node.lexical if type(node) is Closure else atoms.HOMES.get(type(node))
@@ -281,6 +281,7 @@ class Interpreter:
         self.trace = trace
         self.depth = 0
         self.root = None
+        self.passing = set()  # what native hooks are passing on, see pass_on
         self._ops = atoms.OPS
         self._cell = atoms.MemoryCell
 
@@ -291,24 +292,17 @@ class Interpreter:
         if self.steps > self.max_steps:
             raise BudgetExceeded(self.max_steps)
 
-    def out(self, text):
-        self.stdout.write(text.encode("utf-8"))
+    def emit(self, stream, text):
+        """Write text to `stream` (self.stdout or self.stderr) and flush it."""
+        stream.write(text.encode("utf-8"))
         try:
-            self.stdout.flush()
-        except (ValueError, OSError):
-            pass
-
-    def diag(self, text):
-        self.stderr.write(text.encode("utf-8"))
-        try:
-            self.stderr.flush()
+            stream.flush()
         except (ValueError, OSError):
             pass
 
     def trace_step(self, obj):
-        if not self.trace:
-            return
-        self.diag("  " * self.depth + self.describe(obj) + "\n")
+        if self.trace:
+            self.emit(self.stderr, "  " * self.depth + self.describe(obj) + "\n")
 
     def describe(self, obj):
         if is_datum(obj):
@@ -497,25 +491,35 @@ class Interpreter:
                 seen.add(id(obj))
                 self.trace_step(obj)
                 obj = at.force(self)
-            elif isinstance(obj, NativeObject):
+            else:
+                if t not in _EXACT_DATA and not isinstance(obj, NativeObject):
+                    obj = _plain_datum(obj, "resolve on")
+                    t = type(obj)
                 hit = self._ops.get(t, _NO_OPS).get(name)
                 if hit is not None:
                     return AtomFn(hit[0], hit[1], obj)
-                found = obj.native_attr(self, name)
+                found = atoms.data_attr(obj, name) if t in _EXACT_DATA else obj.native_attr(self, name)
                 if found is not _MISS:
                     return _check_int64(found)
                 if name == "&":
                     return HomeView(obj)
-                probe = obj.native_dataize(self)
+                probe = _MISS if t in _EXACT_DATA else obj.native_dataize(self)
                 if probe is _MISS:
                     return _MISS
                 obj = _check_int64(probe)
-            else:
-                if t not in _EXACT_DATA:
-                    obj = _plain_datum(obj, "resolve on")
-                if name == "&":
-                    return HomeView(obj)
-                return atoms.data_attr(self, obj, name)
+
+    def pass_on(self, obj, target, name, args=None):
+        """For a native hook of obj: target's attribute `name`, or target copied
+        with `args` (name None). A hook asked for the same again before this
+        returns would recurse without end: a circular-reduction fault."""
+        key = (id(obj), id(target), name)
+        if key in self.passing:
+            raise EvalFault("circular-reduction", f"{self.describe(obj)} loops back on itself")
+        self.passing.add(key)
+        try:
+            return self.soft_resolve(target, name) if args is None else self.apply(target, args)
+        finally:
+            self.passing.discard(key)
 
     # -- application --------------------------------------------------------
 

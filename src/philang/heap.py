@@ -13,18 +13,16 @@ most one byte of the array; an access may run on from one window into a
 window that starts where it ends. Pointer arithmetic is scaled by the
 pointed-to size and happens in the simulated address space.
 
-Two sorted indexes, kept current by every claim and free, spare `malloc` and
+One sorted index, kept current by every claim and free, spares `malloc` and
 address translation from rescanning every block (Wilson et al., "Dynamic
-Storage Allocation: A Survey and Critical Review", 1995):
-
-- the holes index: the free runs [start, end) of the array, coalesced, in
-  address order. `malloc` carves from the first hole that fits; `free`
-  merges the block back into its neighbours. An upper bound on the largest
-  hole below the last one lets a request that fits none of them go straight
-  to the last;
-- the live-block index: the bases of live blocks in address order, so an
-  address finds the one block that can contain it by bisection. Windows are
-  looked up the same way, by simulated start.
+Storage Allocation: A Survey and Critical Review", 1995): the claimed runs
+[start, end) of the array in address order, each a live block or the bytes
+behind a window. The holes are the gaps between them. `malloc` carves from
+the first gap that fits, and `free` deletes the block's run, which merges
+the gaps on either side. An upper bound on every gap but the one after the
+last run, and a count of those that are not empty, let a request that fits
+none of them go straight to that one. An address finds the one run that can
+contain it by bisection; windows are looked up the same way, by start.
 
 Only a faulting access walks the allocation history, to tell a freed block
 from memory that was never allocated.
@@ -69,73 +67,44 @@ class HeapStore:
         self.bytes = None  # bytearray(capacity), made by the first claim
         self.allocations = []  # every block ever allocated, freed ones included
         self.windows = []  # by simulated start
-        # holes index: free array runs [start, end), coalesced, by address
-        self._hole_starts = [0]
-        self._hole_ends = [capacity]
-        self._low_max = 0  # >= the size of every hole but the last
-        # live-block index: bases and ends of live blocks, by address
-        self._live_bases = []
-        self._live_ends = []
+        # claimed array runs (start, end, block), by address; block is the
+        # live Allocation, or None for the bytes behind a window
+        self._runs = []
+        self._low_max = 0  # >= every gap but the one after the last run
+        self._low_gaps = 0  # how many of those gaps are not empty
 
     # -- allocation ---------------------------------------------------------
 
-    def _claim(self, size):
-        """Carve `size` bytes from the first hole that fits; return the base."""
-        starts, ends = self._hole_starts, self._hole_ends
-        last = len(starts) - 1
-        i = last
-        if size <= self._low_max:
-            largest = 0
-            for j in range(last):
-                room = ends[j] - starts[j]
+    def _claim(self, size, block):
+        """Carve `size` bytes from the first gap that fits; return the base."""
+        runs = self._runs
+        i = len(runs)
+        base = runs[-1][1] if runs else 0
+        if size <= self._low_max and self._low_gaps:
+            prev = largest = 0
+            for j, (start, end, _block) in enumerate(runs):
+                room = start - prev
                 if room >= size:
-                    i = j
+                    i, base = j, prev
+                    self._low_gaps -= room == size
                     break
                 if room > largest:
                     largest = room
+                prev = end
             else:
                 self._low_max = largest
-        if i < 0 or ends[i] - starts[i] < size:
+        if base + size > self.capacity:
             raise EvalFault("out-of-capacity", f"cannot claim {size} bytes of heap")
         if self.bytes is None:
             self.bytes = bytearray(self.capacity)
-        base = starts[i]
-        if ends[i] - base == size:
-            del starts[i], ends[i]
-        else:
-            starts[i] = base + size
+        runs.insert(i, (base, base + size, block))
         return base
-
-    def _release(self, start, end):
-        """Return [start, end) to the holes index, merged with its neighbours."""
-        starts, ends = self._hole_starts, self._hole_ends
-        i = bisect_right(starts, start)
-        if i and ends[i - 1] == start:
-            i -= 1
-            if i + 1 < len(starts) and starts[i + 1] == end:
-                ends[i] = ends[i + 1]
-                del starts[i + 1], ends[i + 1]
-            else:
-                ends[i] = end
-        elif i < len(starts) and starts[i] == end:
-            starts[i] = start
-        else:
-            starts.insert(i, start)
-            ends.insert(i, end)
-        # the bound covers the hole at i, unless that is now the last hole;
-        # then it covers the one at i - 1, which may have been the last
-        low = i if i < len(starts) - 1 else i - 1
-        if low >= 0:
-            self._low_max = max(self._low_max, ends[low] - starts[low])
 
     def malloc(self, size):
         if not isinstance(size, int) or size <= 0:
             raise EvalFault("bad-malloc", f"malloc needs a positive byte count, got {size!r}")
-        base = self._claim(size)
-        i = bisect_right(self._live_bases, base)
-        self._live_bases.insert(i, base)
-        self._live_ends.insert(i, base + size)
-        alloc = Allocation(base, size)
+        alloc = Allocation(None, size)
+        alloc.base = self._claim(size, alloc)
         self.allocations.append(alloc)
         return alloc
 
@@ -143,42 +112,45 @@ class HeapStore:
         if not alloc.alive:
             raise EvalFault("double-free", f"allocation at {alloc.base} was already freed")
         alloc.alive = False
-        i = bisect_left(self._live_bases, alloc.base)
-        del self._live_bases[i], self._live_ends[i]
-        self._release(alloc.base, alloc.base + alloc.size)
+        runs = self._runs
+        i = bisect_left(runs, (alloc.base,))
+        del runs[i]
+        lo = runs[i - 1][1] if i else 0
+        self._low_gaps -= alloc.base > lo  # the gap below, if any, joins the gap above
+        if i < len(runs):  # which is not after the last run: count and bound it
+            self._low_gaps += runs[i][0] == alloc.base + alloc.size  # if it was empty
+            self._low_max = max(self._low_max, runs[i][0] - lo)
 
     # -- address translation ------------------------------------------------
 
-    def window_for(self, addr, create=True):
-        """The window covering simulated `addr`. With `create`, an address
-        above the malloc range that no window covers gets a new one, placed
-        around it in the gap between its neighbours: WINDOW_SIZE bytes, or
-        the whole gap when that is narrower."""
-        i = bisect_right(self.windows, addr, key=attrgetter("start")) - 1
-        if i >= 0 and addr < self.windows[i].start + self.windows[i].size:
-            return self.windows[i]
-        if not create or addr < self.capacity:
-            return None
-        lo = self.windows[i].start + self.windows[i].size if i >= 0 else self.capacity
-        # with no window above, the limit is the end of the int64 address space
-        hi = self.windows[i + 1].start if i + 1 < len(self.windows) else INT64_MAX + 1
-        start = max(lo, min(addr - WINDOW_SIZE // 2, hi - WINDOW_SIZE))
-        w = Window(start, min(WINDOW_SIZE, hi - start), self._claim(WINDOW_SIZE))
-        self.windows.insert(i + 1, w)
-        return w
+    def window_for(self, addr):
+        """The window covering simulated `addr`, or None."""
+        ws = self.windows
+        i = bisect_right(ws, addr, key=attrgetter("start")) - 1
+        return ws[i] if i >= 0 and addr < ws[i].start + ws[i].size else None
 
     def ensure_mapped(self, addr):
-        """Register an absolute address the program mentioned explicitly."""
-        if addr >= self.capacity:
-            self.window_for(addr, create=True)
+        """Register an absolute address the program mentioned explicitly: one
+        above the malloc range that no window covers gets a new window, placed
+        around it in the gap between its neighbours: WINDOW_SIZE bytes, or
+        the whole gap when that is narrower."""
+        ws = self.windows
+        i = bisect_right(ws, addr, key=attrgetter("start"))
+        lo = ws[i - 1].start + ws[i - 1].size if i else self.capacity
+        if addr < lo:  # in the malloc range, or in window i - 1
+            return
+        # with no window above, the limit is the end of the int64 address space
+        hi = ws[i].start if i < len(ws) else INT64_MAX + 1
+        start = max(lo, min(addr - WINDOW_SIZE // 2, hi - WINDOW_SIZE))
+        ws.insert(i, Window(start, min(WINDOW_SIZE, hi - start), self._claim(WINDOW_SIZE, None)))
 
     def _translate(self, addr, length):
         """The array runs (offset, count) that simulated [addr, addr+length)
         maps onto, in address order."""
         end = addr + length
         if 0 <= addr and end <= self.capacity:
-            i = bisect_right(self._live_bases, addr) - 1
-            if i >= 0 and end <= self._live_ends[i]:
+            i = bisect_right(self._runs, (addr, INT64_MAX)) - 1
+            if i >= 0 and end <= self._runs[i][1] and self._runs[i][2] is not None:
                 return ((addr, length),)
             for a in self.allocations:
                 if not a.alive and a.base <= addr < a.base + a.size:
@@ -187,7 +159,7 @@ class HeapStore:
         runs = []
         at = addr
         while True:
-            w = self.window_for(at, create=False)
+            w = self.window_for(at)
             if w is None:
                 if runs:
                     raise EvalFault(

@@ -94,7 +94,7 @@ class Program:
         self.heap_store = store
         if traceability:
             for _name, _const, term in self.entries:
-                attach_source(term, warn=lambda message: self.interp.diag(f"warning: {message}\n"))
+                attach_source(term, warn=lambda m: self.interp.emit(self.interp.stderr, f"warning: {m}\n"))
         root_term = Formation(
             params=[],
             variadic=False,

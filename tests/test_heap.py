@@ -247,6 +247,14 @@ def test_window_and_malloc_share_capacity():
         store.malloc(1 << 12)
 
 
+def test_bytes_behind_a_window_are_not_a_live_block():
+    store = HeapStore(1 << 14)
+    store.ensure_mapped(100_000)  # its 4 KiB are claimed at [0, 4096) of the array
+    with pytest.raises(EvalFault) as e:
+        store.read(8, 8)
+    assert e.value.kind == "unmapped-address"
+
+
 def test_windows_do_not_overlap_each_other():
     store = HeapStore(1 << 20)
     store.ensure_mapped(2_000_000)

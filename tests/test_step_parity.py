@@ -10,6 +10,7 @@ has to be made on purpose.
 import hashlib
 import io
 import random
+import sys
 
 import pytest
 
@@ -415,6 +416,28 @@ GUARD_MISSES = {
     "snapshot-unanchored": (
         "[] > main\n  5' > f\n  f.add 1 > @\n",
         ("EvalFault", "snapshot-unanchored: snapshot used before its .< anchor"), 8),
+    # A native hook that passes an attribute on to what leads back to it: an
+    # object decorated by its own home view, a cage that holds itself. Asked
+    # for another attribute, it passes that on as before.
+    "home-decorates-itself": (
+        "[x] > f\n  & > @\n[] > main\n  (f 6).as-string > @\n",
+        ("EvalFault", "circular-reduction: home loops back on itself"), 13),
+    "cage-holds-itself": (
+        "[] > main\n  cage > c\n  seq > @\n    c.write c\n    c.foo\n",
+        ("EvalFault", "circular-reduction: cage loops back on itself"), 22),
+    "cage-holds-itself-op": (
+        "[] > main\n  cage > c\n  seq > @\n    c.write c\n    c.add 1\n",
+        ("EvalFault", "circular-reduction: cage loops back on itself"), 23),
+    "cage-applied-holds-itself": (
+        "[] > main\n  cage > c\n  seq > @\n    c.write c\n    c 1\n",
+        ("EvalFault", "circular-reduction: cage loops back on itself"), 22),
+    "home-asked-for-another-name": (
+        "[] > main\n  & > h\n  h.bar > foo\n  5 > bar\n  h.foo > @\n",
+        ("value", 5), 14),
+    "cage-asked-for-another-name": (
+        "[] > main\n  cage > c\n  [] > x\n    c.bar > foo\n    5 > bar\n  seq > @\n"
+        "    c.write x\n    c.foo\n",
+        ("value", 5), 30),
 }
 
 
@@ -424,6 +447,19 @@ def test_guard_miss_matches_the_traced_run(name):
     untraced = _outcome(text, name + ".phi", 1000, trace=False)
     assert untraced[:2] == (outcome, steps)
     assert untraced == _outcome(text, name + ".phi", 1000, trace=True)
+
+
+@pytest.mark.parametrize("limit", [None, 6000])
+@pytest.mark.parametrize("name", ["home-decorates-itself", "cage-holds-itself", "cage-holds-itself-op"])
+def test_self_forwarding_faults_whatever_the_recursion_limit(name, limit):
+    # the fault and its step do not move with the caller's recursion limit
+    text, outcome, steps = GUARD_MISSES[name]
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit or before)
+    try:
+        assert _outcome(text, name + ".phi", 1000, trace=False)[:2] == (outcome, steps)
+    finally:
+        sys.setrecursionlimit(before)
 
 
 # SHA-256 per cold-path case of GUARD_MISSES over (budget, outcome, steps,
