@@ -1,14 +1,14 @@
 """Native atoms: control flow (seq/if/while/goto/try), mutable cells
 (memory/cage), data and array operations, heap access, and I/O.
 
-Everything impure lives here; the object core only knows how to run an
-AtomApp and how to ask a native object for attributes, a datum, or a step.
-Each program's global names are one `vocabulary` namespace. `OPS` is the one
-table of atom operations: per exact type of receiver, data or native, the
-label and runner of each attribute that is an atom bound to the receiver.
-A native object's `native_attr` gives only what is not an atom bound to
-it: a datum such as `address`, a jump signal, a namespace member, or what a
-cage or snapshot passes on to its content.
+The object core only knows how to run an AtomApp and how to ask a native
+object for attributes, a datum, or a step. Each program's global names are
+one `vocabulary` namespace. `OPS` is the one table of atom operations: per
+exact type of receiver, data or native, the label and runner of each
+attribute that is an atom bound to the receiver. A native object's
+`native_attr` gives only what is not an atom bound to it: a datum such as
+`address`, a jump signal, a namespace member, or what a cage or snapshot
+passes on to its content.
 """
 
 import math
@@ -26,8 +26,7 @@ from .core import (
     Thunk,
     snapshot,
 )
-from .errors import EvalFault
-from .heap import INT64_MAX, INT64_MIN
+from .errors import INT64_MAX, INT64_MIN, EvalFault
 
 
 def to_text(v):
@@ -511,15 +510,7 @@ def _run_sprintf(interp, _bound, args):
     return "".join(out)
 
 
-# -- heap bridge --------------------------------------------------------------
-
-
-class HeapObject(NativeObject):
-    __slots__ = ("store",)
-    label = "heap"
-
-    def __init__(self, store):
-        self.store = store
+# -- heap ---------------------------------------------------------------------
 
 
 def _want_int(interp, thunk, what):
@@ -529,31 +520,32 @@ def _want_int(interp, thunk, what):
     return v
 
 
-def _run_malloc(interp, heap_obj, args):
+def _run_malloc(interp, store, args):
     _arity(args, 1, "malloc")
-    size = _want_int(interp, args[0], "malloc")
-    return AllocObj(heap_obj.store, heap_obj.store.malloc(size))
+    return AllocObj(store, store.malloc(_want_int(interp, args[0], "malloc")))
 
 
-def _run_free(interp, heap_obj, args):
+def _run_free(interp, store, args):
     _arity(args, 1, "free")
     target = interp.deep_reduce(args[0].force(interp))
     if not isinstance(target, AllocObj):
         raise EvalFault("bad-free", "free expects a malloc allocation")
-    heap_obj.store.free(target.alloc)
+    store.free(target.alloc)
     return True
 
 
-def _run_heap_pointer(interp, heap_obj, args):
+def _run_heap_pointer(interp, store, args):
     _arity(args, 2, "heap.pointer")
-    address = _want_int(interp, args[0], "heap.pointer address")
-    stride = _want_int(interp, args[1], "heap.pointer stride")
-    pv = heapmod.PointerValue(heap_obj.store, address, stride)
-    heap_obj.store.ensure_mapped(address)
-    return PtrObj(pv)
+    pointer = heapmod.PointerValue(store, _want_int(interp, args[0], "heap.pointer address"),
+                                   _want_int(interp, args[1], "heap.pointer stride"))
+    store.ensure_mapped(pointer.address)
+    return pointer
 
 
 class AllocObj(NativeObject):
+    """A block `malloc` handed out, with its store: an Allocation that held
+    its store would make a cycle with the store's history and index."""
+
     __slots__ = ("store", "alloc")
     label = "allocation"
 
@@ -567,62 +559,27 @@ class AllocObj(NativeObject):
 
 def _run_alloc_pointer(interp, alloc_obj, args):
     _arity(args, 2, "pointer")
-    offset = _want_int(interp, args[0], "pointer offset")
-    stride = _want_int(interp, args[1], "pointer stride")
-    return PtrObj(heapmod.PointerValue(alloc_obj.store, alloc_obj.alloc.base + offset, stride))
-
-
-class PtrObj(NativeObject):
-    __slots__ = ("pv",)
-    label = "pointer"
-
-    def __init__(self, pv):
-        self.pv = pv
-
-    def native_attr(self, interp, name):
-        return self.pv.address if name == "address" else _MISS
-
-    def native_dataize(self, interp):
-        return self.pv.address
+    address = alloc_obj.alloc.base + _want_int(interp, args[0], "pointer offset")
+    return heapmod.PointerValue(alloc_obj.store, address, _want_int(interp, args[1], "pointer stride"))
 
 
 def _run_ptr_shift(sign):
-    def run(interp, ptr_obj, args):
+    def run(interp, pointer, args):
         _arity(args, 1, "pointer shift")
         k = _want_int(interp, args[0], "pointer shift")
-        return PtrObj(ptr_obj.pv.shifted(sign * k))
+        return heapmod.pointer_add(pointer, sign * k)
 
     return run
 
 
-def _run_block(interp, ptr_obj, args):
+def _run_block(interp, pointer, args):
     _arity(args, 2, "block")
-    length = _want_int(interp, args[0], "block length")
-    decoder = args[1]
-    return ViewObj(heapmod.make_block(ptr_obj.pv, length), decoder)
+    return heapmod.make_block(pointer, _want_int(interp, args[0], "block length"), args[1])
 
 
-class ViewObj(NativeObject):
-    __slots__ = ("view", "decoder_thunk")
-    label = "block"
-
-    def __init__(self, view, decoder_thunk):
-        self.view = view
-        self.decoder_thunk = decoder_thunk
-
-    def native_attr(self, interp, name):
-        return self.view.address if name == "address" else _MISS
-
-    def native_dataize(self, interp):
-        data = heapmod.block_read_bytes(self.view)
-        decoder = self.decoder_thunk.force(interp)
-        return interp.dataize(interp.apply(decoder, [Thunk.of(data)]))
-
-
-def _run_block_write(interp, view_obj, args):
+def _run_block_write(interp, block, args):
     _arity(args, 1, "block.write")
-    value = interp.force_datum(args[0])
-    heapmod.block_write(view_obj.view, value)
+    heapmod.block_write(block, interp.force_datum(args[0]))
     return True
 
 
@@ -644,12 +601,12 @@ OPS = {
     CageSlot: {"write": ("cage-write", _run_cage_write)},
     ArrayObject: {"get": ("array-get", _run_array_get), "each": ("array-each", _run_array_each)},
     DataHome: {"subtype-of": ("subtype-of", _run_subtype)},
-    HeapObject: {"malloc": ("malloc", _run_malloc), "free": ("free", _run_free),
-                 "pointer": ("heap-pointer", _run_heap_pointer)},
+    heapmod.HeapStore: {"malloc": ("malloc", _run_malloc), "free": ("free", _run_free),
+                        "pointer": ("heap-pointer", _run_heap_pointer)},
     AllocObj: {"pointer": ("alloc-pointer", _run_alloc_pointer)},
-    PtrObj: {"add": ("pointer-add", _run_ptr_shift(1)), "sub": ("pointer-sub", _run_ptr_shift(-1)),
-             "block": ("block", _run_block)},
-    ViewObj: {"write": ("block-write", _run_block_write)},
+    heapmod.PointerValue: {"add": ("pointer-add", _run_ptr_shift(1)), "sub": ("pointer-sub", _run_ptr_shift(-1)),
+                           "block": ("block", _run_block)},
+    heapmod.BlockView: {"write": ("block-write", _run_block_write)},
 }
 
 
@@ -684,7 +641,7 @@ def vocabulary(heap_store, extra=None):
         ("seq", _run_seq), ("if", _run_if3), ("goto", _run_goto), ("try", _run_try),
         ("stdout", _run_stdout), ("sprintf", _run_sprintf), ("array", _run_array_make),
     )}
-    root.update(memory=MemoryCell, cage=CageSlot, heap=HeapObject(heap_store))
+    root.update(memory=MemoryCell, cage=CageSlot, heap=heap_store)
     eolang = {
         "io": Namespace("org.eolang.io", {"stdout": root["stdout"]}),
         "txt": Namespace("org.eolang.txt", {"sprintf": root["sprintf"]}),

@@ -53,8 +53,7 @@ frames and steps as an untraced one.
 
 import sys
 
-from .errors import BudgetExceeded, EvalFault
-from .heap import INT64_MAX, INT64_MIN
+from .errors import INT64_MAX, INT64_MIN, BudgetExceeded, EvalFault
 from .syntax import (
     Anchor,
     Application,
@@ -268,7 +267,7 @@ class HomeView(NativeObject):
 
 
 class Interpreter:
-    """One program instance: budget, heap, sinks and the root scope.
+    """One program instance: step budget, output sinks and the root scope.
     `vocabulary` is the namespace that bare global names and `Q.<name>`
     resolve in."""
 
@@ -281,7 +280,7 @@ class Interpreter:
         self.trace = trace
         self.depth = 0
         self.root = None
-        self.passing = set()  # what native hooks are passing on, see pass_on
+        self.passing = set()  # what native hooks are passing on or reading, see pass_on
         self._ops = atoms.OPS
         self._cell = atoms.MemoryCell
 
@@ -679,11 +678,20 @@ class Interpreter:
         return r if type(r) in _EXACT_DATA else self._read_datum(r, abstract)
 
     def _read_datum(self, r, abstract):
-        """The datum of r, a normal form that is not one."""
+        """The datum of r, a normal form that is not one. A native object
+        asked for its datum again before this returns would recurse without
+        end: a circular-reduction fault, as in pass_on."""
         if isinstance(r, NativeObject):
-            probe = r.native_dataize(self)
-            if probe is not _MISS:
-                return _check_int64(probe) if is_datum(probe) else self.dataize(probe, abstract)
+            key = id(r)
+            if key in self.passing:
+                raise EvalFault("circular-reduction", f"{r.label} loops back on itself")
+            self.passing.add(key)
+            try:
+                probe = r.native_dataize(self)
+                if probe is not _MISS:
+                    return _check_int64(probe) if is_datum(probe) else self.dataize(probe, abstract)
+            finally:
+                self.passing.discard(key)
             if not abstract:
                 raise EvalFault("missing-decoratee", f"{r.label} does not reduce to a datum")
         elif not abstract:

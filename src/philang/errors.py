@@ -1,8 +1,12 @@
-"""Error types shared across the runtime.
+"""Error types, and the int64 range, shared across the runtime.
 
 Exit-code mapping used by the CLI: SyntaxFault -> 2, BudgetExceeded -> 3,
 every other EvalFault -> 1.
 """
+
+# the range of a program's integers and heap addresses
+INT64_MIN = -(1 << 63)
+INT64_MAX = (1 << 63) - 1
 
 
 class PhilangError(Exception):

@@ -1,4 +1,6 @@
-"""Simulated random-access memory.
+"""Simulated random-access memory, and the heap's native objects: the store
+(`heap`), its pointers and their blocks, on which the atoms of `atoms.OPS`
+run.
 
 One flat byte array per program instance, allocated by the first claim on
 it, so a program that never touches the heap never pays for the buffer.
@@ -31,12 +33,11 @@ from memory that was never allocated.
 from bisect import bisect_left, bisect_right
 from operator import attrgetter
 
-from .errors import EvalFault
+from .core import _MISS, NativeObject, Thunk
+from .errors import INT64_MAX, EvalFault
 
 WINDOW_SIZE = 4096
-
-INT64_MIN = -(1 << 63)
-INT64_MAX = (1 << 63) - 1
+MAX_CAPACITY = 1 << 32  # the largest heap a program may ask for, on every host
 
 
 class Allocation:
@@ -59,8 +60,13 @@ class Window:
         self.base = base
 
 
-class HeapStore:
+class HeapStore(NativeObject):
+    label = "heap"
+
     def __init__(self, capacity=1 << 20):
+        if not isinstance(capacity, int) or capacity > MAX_CAPACITY:
+            raise EvalFault("heap-config", f"heap capacity must be an int of at most {MAX_CAPACITY} bytes, "
+                            f"got {capacity!r}")
         if capacity < 16:
             raise EvalFault("heap-config", "heap capacity must be at least 16 bytes")
         self.capacity = capacity
@@ -123,12 +129,6 @@ class HeapStore:
 
     # -- address translation ------------------------------------------------
 
-    def window_for(self, addr):
-        """The window covering simulated `addr`, or None."""
-        ws = self.windows
-        i = bisect_right(ws, addr, key=attrgetter("start")) - 1
-        return ws[i] if i >= 0 and addr < ws[i].start + ws[i].size else None
-
     def ensure_mapped(self, addr):
         """Register an absolute address the program mentioned explicitly: one
         above the malloc range that no window covers gets a new window, placed
@@ -156,17 +156,15 @@ class HeapStore:
                 if not a.alive and a.base <= addr < a.base + a.size:
                     raise EvalFault("freed-access", f"access at {addr} hits a freed allocation")
             raise EvalFault("unmapped-address", f"address {addr} lies outside any live allocation")
-        runs = []
-        at = addr
+        runs, at, ws = [], addr, self.windows
         while True:
-            w = self.window_for(at)
-            if w is None:
+            i = bisect_right(ws, at, key=attrgetter("start")) - 1  # the one window that can cover `at`
+            if i < 0 or at >= ws[i].start + ws[i].size:
                 if runs:
-                    raise EvalFault(
-                        "out-of-bounds",
-                        f"access of {length} bytes at {addr} leaves its address window",
-                    )
+                    raise EvalFault("out-of-bounds",
+                                    f"access of {length} bytes at {addr} leaves its address window")
                 raise EvalFault("unmapped-address", f"address {addr} is not mapped into the heap")
+            w = ws[i]
             n = min(end, w.start + w.size) - at
             runs.append((w.base + at - w.start, n))
             at += n
@@ -186,10 +184,11 @@ class HeapStore:
             pos += n
 
 
-class PointerValue:
+class PointerValue(NativeObject):
     """A simulated address plus the size of the thing it points at."""
 
     __slots__ = ("store", "address", "stride", "block_cursor")
+    label = "pointer"
 
     def __init__(self, store, address, stride):
         if stride <= 0:
@@ -203,38 +202,51 @@ class PointerValue:
         self.stride = stride
         self.block_cursor = 0
 
-    def shifted(self, k):
-        return PointerValue(self.store, self.address + k * self.stride, self.stride)
+    def native_attr(self, interp, name):
+        return self.address if name == "address" else _MISS
+
+    def native_dataize(self, interp):
+        return self.address
 
 
 def pointer_add(p, k):
-    return p.shifted(k)
+    return PointerValue(p.store, p.address + k * p.stride, p.stride)
 
 
 def pointer_sub(p, k):
-    return p.shifted(-k)
+    return pointer_add(p, -k)
 
 
-class BlockView:
-    """A typed window of `length` bytes at a fixed offset within a record."""
+class BlockView(NativeObject):
+    """A typed window of `length` bytes at a fixed offset within a record,
+    read as a datum by applying `decoder` (a thunk) to its bytes."""
 
-    __slots__ = ("pointer", "offset", "length")
+    __slots__ = ("pointer", "offset", "length", "decoder")
+    label = "block"
 
-    def __init__(self, pointer, offset, length):
+    def __init__(self, pointer, offset, length, decoder):
         if length <= 0:
             raise EvalFault("bad-block", f"block length must be positive, got {length}")
         self.pointer = pointer
         self.offset = offset
         self.length = length
+        self.decoder = decoder
 
     @property
     def address(self):
         return self.pointer.address + self.offset
 
+    def native_attr(self, interp, name):
+        return self.address if name == "address" else _MISS
 
-def make_block(pointer, length):
+    def native_dataize(self, interp):
+        data = block_read_bytes(self)
+        return interp.dataize(interp.apply(self.decoder.force(interp), [Thunk.of(data)]))
+
+
+def make_block(pointer, length, decoder=None):
     """Blocks declared against one pointer pack contiguously from offset 0."""
-    view = BlockView(pointer, pointer.block_cursor, length)
+    view = BlockView(pointer, pointer.block_cursor, length, decoder)
     pointer.block_cursor += length
     return view
 

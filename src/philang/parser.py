@@ -32,8 +32,7 @@ tree.
 
 import re
 
-from .errors import SyntaxFault
-from .heap import INT64_MAX, INT64_MIN
+from .errors import INT64_MAX, INT64_MIN, SyntaxFault
 from .syntax import (
     Anchor,
     Application,

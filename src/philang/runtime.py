@@ -11,8 +11,8 @@ import sys
 
 from . import atoms
 from .core import Closure, Interpreter, NativeObject, Signal
-from .errors import EvalFault, SyntaxFault
-from .heap import INT64_MAX, INT64_MIN, HeapStore
+from .errors import INT64_MAX, INT64_MIN, EvalFault, SyntaxFault
+from .heap import HeapStore
 from .parser import attach_source, parse_entries
 from .syntax import Formation, Name, SourceSpan
 

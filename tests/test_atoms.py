@@ -647,6 +647,12 @@ def test_extra_builtin_shadows_a_global():
 # a block `v` of n bytes at the start of a fresh allocation, read by `decoder`
 _BLOCK = "[] > main\n  heap.malloc 16 > a\n  (a.pointer 0 {n}).block > v\n    {n}\n    [b] ({decoder} > @)\n"
 
+# `e`, bound to the heap object `thrown` (a reduced normal form), used as `use`
+_CAUGHT = ("[] > main\n  heap.malloc 16 > a\n  try > @\n    [t]\n      t ({thrown}) > @\n"
+           "    [e]\n      {use} > @\n    TRUE\n")
+_HEAP_THINGS = {"pointer": "a.pointer 0 8", "block": "(a.pointer 0 8).block 8 ([b] (b.as-int > @))",
+                "allocation": "a"}
+
 # One program per fault site whose kind and message no other test pins, with
 # the kind and message it must fail with.
 FAULT_SITES = {
@@ -712,6 +718,18 @@ FAULT_SITES = {
     "missing-decoratee-native": ("[] > main\n  stdout heap > @\n",
                                  "missing-decoratee: heap does not reduce to a datum"),
     "not-applicable-native": ("[] > main\n  heap 1 > @\n", "not-applicable: heap cannot be copied with arguments"),
+    "attribute-not-found-heap": ("[] > main\n  heap.nope > @\n",
+                                 "attribute-not-found: heap has no attribute 'nope'"),
+    **{f"attribute-not-found-{label}": (_CAUGHT.format(thrown=thrown, use="e.nope"),
+                                        f"attribute-not-found: {label} has no attribute 'nope'")
+       for label, thrown in _HEAP_THINGS.items()},
+    **{f"not-applicable-{label}": (_CAUGHT.format(thrown=thrown, use="e 1"),
+                                   f"not-applicable: {label} cannot be copied with arguments")
+       for label, thrown in _HEAP_THINGS.items()},
+    "circular-reduction-cage": ("[] > main\n  cage > c\n  seq > @\n    c.write c\n    stdout c\n",
+                                "circular-reduction: cage loops back on itself"),
+    "circular-reduction-cages": ("[] > main\n  cage > a\n  cage > b\n  seq > @\n    a.write b\n"
+                                 "    b.write a\n    stdout a\n", "circular-reduction: cage loops back on itself"),
     # the try token outlives its body in a cage and is thrown from the catch,
     # where its own try no longer absorbs it
     "escaping-signal": ("[] > main\n  cage > c\n  try > @\n    [t]\n      seq > @\n        c.write t\n"

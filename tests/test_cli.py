@@ -182,7 +182,8 @@ def test_heap_size_flag(tmp_path):
 
 
 def test_bad_heap_size_or_step_budget_exits_one():
-    for flag, value, kind in (("--heap-size", "8", "heap-config"), ("--max-steps", "-5", "budget-config")):
+    for flag, value, kind in (("--heap-size", "8", "heap-config"), ("--heap-size", str(1 << 70), "heap-config"),
+                              ("--max-steps", "-5", "budget-config")):
         code, out, err = cli("eval", "1.add 1", flag, value)
         assert code == 1
         assert out == b""

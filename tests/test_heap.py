@@ -13,7 +13,7 @@ from philang.heap import (
     pointer_sub,
 )
 
-from conftest import fault_kind, run_src
+from conftest import fault_kind, make_program, run_src
 
 
 # -- malloc / free -------------------------------------------------------------
@@ -419,3 +419,15 @@ def test_heap_size_flag_is_respected():
     with pytest.raises(EvalFault) as e:
         run_src(src, heap_size=64)
     assert fault_kind(e) == "out-of-capacity"
+
+
+def test_a_second_store_given_as_a_builtin_keeps_its_own_blocks():
+    # an allocation carries its store, so its pointers and blocks reach
+    # that store and not the program's own heap
+    other = HeapStore(64)
+    src = ("[] > main\n  h2.malloc 8 > a\n  (a.pointer 0 8).block > v\n    8\n    [b] (b.as-int > @)\n"
+           "  seq > @\n    v.write 42\n    v\n")
+    program, _out, _err = make_program(src, extra_builtins={"h2": other})
+    assert program.run() == 42
+    assert len(other.allocations) == 1 and decode_int(other.read(0, 8)) == 42
+    assert program.heap_store.allocations == [] and program.heap_store.bytes is None

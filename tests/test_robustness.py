@@ -8,6 +8,7 @@ import pytest
 import philang
 from philang.core import NativeObject
 from philang.errors import BudgetExceeded, EvalFault, SyntaxFault
+from philang.heap import MAX_CAPACITY, HeapStore
 from philang.parser import MAX_NESTING
 from philang.runtime import Program
 
@@ -187,6 +188,19 @@ def test_heap_config_minimum():
     with pytest.raises(EvalFault) as e:
         run_src("42\n", heap_size=8)
     assert fault_kind(e) == "heap-config"
+
+
+@pytest.mark.parametrize("size", [1 << 63, 1 << 70, "x", 64.0])
+def test_heap_size_above_the_ceiling_or_not_an_int_is_a_config_fault(size):
+    # rejected before the first claim would try to allocate the buffer
+    with pytest.raises(EvalFault) as e:
+        run_src("[] > main\n  heap.malloc 8 > @\n", heap_size=size)
+    assert fault_kind(e) == "heap-config"
+
+
+def test_heap_size_at_the_ceiling_allocates_nothing_until_claimed():
+    store = HeapStore(MAX_CAPACITY)
+    assert (store.capacity, store.bytes) == (MAX_CAPACITY, None)
 
 
 def test_negative_step_budget_is_a_config_fault():
@@ -448,9 +462,11 @@ def test_import_leaves_the_recursion_limit_alone():
     assert out[0] == out[1]
 
 
-@pytest.mark.parametrize("module", ["philang.core", "philang.atoms", "philang.cli"])
+@pytest.mark.parametrize("module", ["philang.core", "philang.atoms", "philang.heap", "philang.errors",
+                                    "philang.cli"])
 def test_each_module_imports_first(module):
-    # core and atoms import each other, so importing any one module first must work
+    # core and atoms import each other and heap imports core, so importing
+    # any one module first must work
     src = os.path.dirname(os.path.dirname(os.path.abspath(philang.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = (

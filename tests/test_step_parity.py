@@ -431,6 +431,13 @@ GUARD_MISSES = {
     "cage-applied-holds-itself": (
         "[] > main\n  cage > c\n  seq > @\n    c.write c\n    c 1\n",
         ("EvalFault", "circular-reduction: cage loops back on itself"), 22),
+    # a cage asked for its datum when it holds itself, or a cage that holds it
+    "cage-datum-holds-itself": (
+        "[] > main\n  cage > c\n  seq > @\n    c.write c\n    stdout c\n",
+        ("EvalFault", "circular-reduction: cage loops back on itself"), 26),
+    "cages-hold-each-other": (
+        "[] > main\n  cage > a\n  cage > b\n  seq > @\n    a.write b\n    b.write a\n    stdout a\n",
+        ("EvalFault", "circular-reduction: cage loops back on itself"), 37),
     "home-asked-for-another-name": (
         "[] > main\n  & > h\n  h.bar > foo\n  5 > bar\n  h.foo > @\n",
         ("value", 5), 14),
@@ -450,7 +457,8 @@ def test_guard_miss_matches_the_traced_run(name):
 
 
 @pytest.mark.parametrize("limit", [None, 6000])
-@pytest.mark.parametrize("name", ["home-decorates-itself", "cage-holds-itself", "cage-holds-itself-op"])
+@pytest.mark.parametrize("name", ["home-decorates-itself", "cage-holds-itself", "cage-holds-itself-op",
+                                  "cage-datum-holds-itself", "cages-hold-each-other"])
 def test_self_forwarding_faults_whatever_the_recursion_limit(name, limit):
     # the fault and its step do not move with the caller's recursion limit
     text, outcome, steps = GUARD_MISSES[name]
