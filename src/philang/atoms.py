@@ -542,10 +542,7 @@ def _run_heap_pointer(interp, store, args):
     return pointer
 
 
-class AllocObj(NativeObject):
-    """A block `malloc` handed out, with its store: an Allocation that held
-    its store would make a cycle with the store's history and index."""
-
+class AllocObj(NativeObject):  # (store, block): an Allocation holding its store would cycle through it
     __slots__ = ("store", "alloc")
     label = "allocation"
 

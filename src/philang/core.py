@@ -678,20 +678,21 @@ class Interpreter:
         return r if type(r) in _EXACT_DATA else self._read_datum(r, abstract)
 
     def _read_datum(self, r, abstract):
-        """The datum of r, a normal form that is not one. A native object
-        asked for its datum again before this returns would recurse without
-        end: a circular-reduction fault, as in pass_on."""
+        """The datum of r, a normal form that is not one. A native object that
+        hands back the same object again while it is read faults, as in pass_on."""
         if isinstance(r, NativeObject):
-            key = id(r)
-            if key in self.passing:
-                raise EvalFault("circular-reduction", f"{r.label} loops back on itself")
-            self.passing.add(key)
-            try:
-                probe = r.native_dataize(self)
-                if probe is not _MISS:
-                    return _check_int64(probe) if is_datum(probe) else self.dataize(probe, abstract)
-            finally:
-                self.passing.discard(key)
+            probe = r.native_dataize(self)
+            if is_datum(probe):
+                return _check_int64(probe)
+            if probe is not _MISS:
+                key = (id(r), id(probe))  # no name: never one of pass_on's keys
+                if key in self.passing:
+                    raise EvalFault("circular-reduction", f"{r.label} loops back on itself")
+                self.passing.add(key)
+                try:
+                    return self.dataize(probe, abstract)
+                finally:
+                    self.passing.discard(key)
             if not abstract:
                 raise EvalFault("missing-decoratee", f"{r.label} does not reduce to a datum")
         elif not abstract:

@@ -65,8 +65,7 @@ class HeapStore(NativeObject):
 
     def __init__(self, capacity=1 << 20):
         if not isinstance(capacity, int) or capacity > MAX_CAPACITY:
-            raise EvalFault("heap-config", f"heap capacity must be an int of at most {MAX_CAPACITY} bytes, "
-                            f"got {capacity!r}")
+            raise EvalFault("heap-config", f"heap capacity must be an int of at most {MAX_CAPACITY} bytes, got {capacity!r}")
         if capacity < 16:
             raise EvalFault("heap-config", "heap capacity must be at least 16 bytes")
         self.capacity = capacity
@@ -240,6 +239,8 @@ class BlockView(NativeObject):
         return self.address if name == "address" else _MISS
 
     def native_dataize(self, interp):
+        if self.decoder is None:
+            return _MISS
         data = block_read_bytes(self)
         return interp.dataize(interp.apply(self.decoder.force(interp), [Thunk.of(data)]))
 

@@ -8,7 +8,7 @@ import pytest
 import philang
 from philang.core import NativeObject
 from philang.errors import BudgetExceeded, EvalFault, SyntaxFault
-from philang.heap import MAX_CAPACITY, HeapStore
+from philang.heap import MAX_CAPACITY, HeapStore, PointerValue, make_block
 from philang.parser import MAX_NESTING
 from philang.runtime import Program
 
@@ -285,6 +285,13 @@ def test_foreign_value_from_a_native_hook_is_a_fault(hook, value, src, message):
     with pytest.raises(EvalFault) as e:
         run_src(src, extra_builtins={"x": _Foreign(hook, value)})
     assert str(e.value) == message
+
+
+def test_block_without_a_decoder_given_as_a_builtin_has_no_datum():
+    block = make_block(PointerValue(HeapStore(64), 0, 8), 8)
+    with pytest.raises(EvalFault) as e:
+        run_src("stdout x\n", extra_builtins={"x": block})
+    assert str(e.value) == "missing-decoratee: block does not reduce to a datum"
 
 
 def test_extra_builtin_at_the_int64_edge_or_a_native_class_runs():

@@ -438,6 +438,11 @@ GUARD_MISSES = {
     "cages-hold-each-other": (
         "[] > main\n  cage > a\n  cage > b\n  seq > @\n    a.write b\n    b.write a\n    stdout a\n",
         ("EvalFault", "circular-reduction: cage loops back on itself"), 37),
+    # a cage whose content rewrites the cage and hands it back is read again,
+    # and then holds a datum
+    "cage-rewritten-while-read": (
+        "[] > main\n  cage > c\n  seq > @\n    c.write (seq (c.write 5) c)\n    stdout c\n",
+        ("value", True), 43),
     "home-asked-for-another-name": (
         "[] > main\n  & > h\n  h.bar > foo\n  5 > bar\n  h.foo > @\n",
         ("value", 5), 14),
