@@ -64,6 +64,8 @@ def _execute(text, file, args, traceability, print_value):
             stdout=sys.stdout.buffer,
             stderr=sys.stderr.buffer,
         ).run()
+        if print_value and value is not None:
+            sys.stdout.write((to_text(value) if is_datum(value) else repr(value)) + "\n")
     except SyntaxFault as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
@@ -73,9 +75,6 @@ def _execute(text, file, args, traceability, print_value):
     except EvalFault as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
-    if print_value and value is not None:
-        text_value = to_text(value) if is_datum(value) else repr(value)
-        sys.stdout.write(text_value + "\n")
     return 0
 
 

@@ -77,8 +77,8 @@ class Program:
                 self.entries = parse_entries(text, file)
         except RecursionError:
             raise SyntaxFault("program nesting exceeds what the parser can hold", file) from None
-        if max_steps < 0:
-            raise EvalFault("budget-config", "the step budget must not be negative")
+        if type(max_steps) is not int or max_steps < 0:
+            raise EvalFault("budget-config", f"the step budget must be a non-negative int, got {max_steps!r}")
         for name, value in (extra_builtins or {}).items():
             if not _valid_builtin(value):
                 raise EvalFault("builtins-config", f"extra builtin {name!r} is not a datum inside int64, "

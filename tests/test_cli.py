@@ -158,6 +158,16 @@ def test_eval_runtime_error_exit_one():
     assert b"division-by-zero" in err
 
 
+def test_eval_of_bytes_that_are_not_utf8_exit_one():
+    expr = ("[p] > rec\n  p.block > raw\n    8\n    [b] (b > @)\n"
+            "Q.org.eolang.gray.heap.pointer > p\n  0x1A76EC09\n  8\n"
+            "[] > main\n  rec p > r\n  seq > @\n    r.raw.write -1\n    r.raw\n")
+    code, out, err = cli("eval", expr)
+    assert code == 1
+    assert out == b""
+    assert err.startswith(b"error: bad-bytes: bytes are not valid UTF-8") and err.count(b"\n") == 1
+
+
 def test_int_literal_outside_int64_exit_two():
     code, out, err = cli("eval", "99999999999999999999999")
     assert code == 2

@@ -211,6 +211,14 @@ def test_negative_step_budget_is_a_config_fault():
         Program("42\n", max_steps=0).run()
 
 
+@pytest.mark.parametrize("budget", [None, "5", float("nan"), True, 2.5])
+def test_step_budget_of_another_type_is_a_config_fault(budget):
+    with pytest.raises(EvalFault) as e:
+        Program("42\n", max_steps=budget)
+    assert fault_kind(e) == "budget-config"
+    assert str(e.value) == f"budget-config: the step budget must be a non-negative int, got {budget!r}"
+
+
 class _Needs(NativeObject):
     """A native object class that cannot be made without an argument."""
 

@@ -501,6 +501,43 @@ def test_cold_path_budget_sweep(name):
     assert _digest(budgets, outcomes) == COLD_SWEEP_SHA256[name]
 
 
+# Atom arguments of every shape an atom dataizes: a literal, a name, an unrun
+# `r.op x` (also through a written cell), a written memory cell, a closure
+# that decorates one, and last an unwritten cell, which faults.
+ARGUMENT_SHAPES = """\
+[] > main
+  memory > m
+  memory > u
+  5 > n
+  [] > deco
+    m > @
+  seq > @
+    stdout "a"
+    m.write 3
+    n.add n
+    n.add (n.add 1)
+    n.add (m.add 1)
+    1.add m
+    1.add deco
+    stdout (m.add 2).as-string
+    1.add u
+"""
+# SHA-256 over its outcomes at every budget from 0 to one past its step
+# count, hashed as SWEEP_SHA256 is, recorded while atom arguments were
+# still read through their own inline paths.
+ARGUMENT_SHAPES_STEPS = 129
+ARGUMENT_SHAPES_SHA256 = "260b49c850c799a49239df1655fbdaf7655d6a5c0c49a09d35bf73772d147069"
+
+
+def test_argument_shapes_budget_sweep():
+    budgets = range(0, ARGUMENT_SHAPES_STEPS + 2)
+    untraced = [_outcome(ARGUMENT_SHAPES, "args.phi", budget, trace=False) for budget in budgets]
+    assert untraced[-1] == (("EvalFault", "memory-unset: memory read before the first write"),
+                            ARGUMENT_SHAPES_STEPS, b"a5")
+    assert _digest(budgets, untraced) == ARGUMENT_SHAPES_SHA256
+    assert [_outcome(ARGUMENT_SHAPES, "args.phi", budget, trace=True) for budget in budgets] == untraced
+
+
 # A closure reduces its decoration once: dataizing the same `hi` again reads
 # the reduced normal form it cached, so `stdout` runs once.
 HI = '[] > hi\n  stdout "hi" > @\n'
