@@ -629,23 +629,22 @@ class Namespace(NativeObject):
         return child() if isinstance(child, type) else child
 
 
+# shared by every program's vocabulary: nothing in it belongs to a program or changes
+_GLOBALS = {name: AtomFn(name, fn) for name, fn in (
+    ("seq", _run_seq), ("if", _run_if3), ("goto", _run_goto), ("try", _run_try),
+    ("stdout", _run_stdout), ("sprintf", _run_sprintf), ("array", _run_array_make),
+)} | {"memory": MemoryCell, "cage": CageSlot}
+_EOLANG = {"io": Namespace("org.eolang.io", {"stdout": _GLOBALS["stdout"]}), "memory": MemoryCell,
+           "txt": Namespace("org.eolang.txt", {"sprintf": _GLOBALS["sprintf"]}), "array": _GLOBALS["array"]}
+
+
 def vocabulary(heap_store, extra=None):
     """The global names of one program instance, as one namespace tree:
     bare names and `Q.<name>` resolve at its root, and `org.eolang.*`
     holds the same objects. `extra` maps further names to objects and
-    shadows globals of the same name."""
-    root = {name: AtomFn(name, fn) for name, fn in (
-        ("seq", _run_seq), ("if", _run_if3), ("goto", _run_goto), ("try", _run_try),
-        ("stdout", _run_stdout), ("sprintf", _run_sprintf), ("array", _run_array_make),
-    )}
-    root.update(memory=MemoryCell, cage=CageSlot, heap=heap_store)
-    eolang = {
-        "io": Namespace("org.eolang.io", {"stdout": root["stdout"]}),
-        "txt": Namespace("org.eolang.txt", {"sprintf": root["sprintf"]}),
-        "gray": Namespace("org.eolang.gray", {n: root[n] for n in ("goto", "try", "cage", "heap")}),
-        "memory": MemoryCell,
-        "array": root["array"],
-    }
-    root["org"] = Namespace("org", {"eolang": Namespace("org.eolang", eolang)})
-    root.update(extra or {})
+    shadows globals of the same name. Only the nodes that hold the
+    program's store are made here; the rest is shared."""
+    gray = {"goto": _GLOBALS["goto"], "try": _GLOBALS["try"], "cage": CageSlot, "heap": heap_store}
+    eolang = Namespace("org.eolang", {**_EOLANG, "gray": Namespace("org.eolang.gray", gray)})
+    root = {**_GLOBALS, "heap": heap_store, "org": Namespace("org", {"eolang": eolang}), **(extra or {})}
     return Namespace("Q", root)

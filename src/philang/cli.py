@@ -45,7 +45,7 @@ def _run_file(args):
     try:
         with open(args.file, "r", encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         sys.stderr.write(f"error: cannot read {args.file}: {exc}\n")
         return 2
     return _execute(text, args.file, args, args.traceability, print_value=False)

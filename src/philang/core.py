@@ -42,10 +42,14 @@ again and without a Python frame more per nesting level. force_datum, the
 argument read of atoms, runs an unrun atom application in its own frame.
 Tracing only writes lines: a traced run takes the same frames and steps.
 Each copy kept for speed states its gain: perfbench steps_per_s with it
-over without it, median of alternating pairs.
+over without it, median of alternating pairs. The step path has no
+comprehension: before Python 3.12 (PEP 709) each one builds a function and
+a frame, so thunk lists are `list(map(Thunk, args, repeat(owner)))` and
+deep_reduce lists a closure's unbound parameters only to fault.
 """
 
 import sys
+from itertools import repeat
 
 from .errors import INT64_MAX, INT64_MIN, BudgetExceeded, EvalFault
 from .syntax import (
@@ -356,13 +360,13 @@ class Interpreter:
                     self.steps += k
                     if len(args) == 1:  # 1.07x loop
                         return AtomApp(hit[0], hit[1], bound, [Thunk(args[0], owner)])
-                    return AtomApp(hit[0], hit[1], bound, [Thunk(a, owner) for a in args])
+                    return AtomApp(hit[0], hit[1], bound, list(map(Thunk, args, repeat(owner))))
                 found = self.soft_resolve(v, attr)
                 if found is _MISS:
                     raise self._no_attribute(obj, attr)
-                return self.apply(found, [Thunk(a, owner) for a in args])
+                return self.apply(found, list(map(Thunk, args, repeat(owner))))
             head = self.evaluate(head, owner)
-            return self.apply(head, [Thunk(a, owner) for a in args])
+            return self.apply(head, list(map(Thunk, args, repeat(owner))))
         if t is Dispatch:
             if term.attr == "while":
                 return atoms.while_atom(Thunk(term.recv, owner))
@@ -583,8 +587,8 @@ class Interpreter:
                         "circular-reduction",
                         f"{obj.label()} decorates its own reduction",
                     )
-                missing = [p for p in obj.term.params if p not in obj.bound]
-                if missing:
+                if len(obj.bound) != len(obj.term.params):  # bound keys are params
+                    missing = [p for p in obj.term.params if p not in obj.bound]
                     raise EvalFault(
                         "partial-application",
                         f"{obj.label()} dataized with unbound parameter(s): {', '.join(missing)}",

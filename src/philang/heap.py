@@ -2,8 +2,9 @@
 (`heap`), its pointers and their blocks, on which the atoms of `atoms.OPS`
 run.
 
-One flat byte array per program instance, allocated by the first claim on
-it, so a program that never touches the heap never pays for the buffer.
+One flat byte array per program instance. It starts empty and grows with
+the claims, doubling up to the capacity until it covers the highest claimed
+byte, so a program pays for the bytes it claims, not for its heap limit.
 `malloc` hands out first-fit segments of the malloc range [0, capacity).
 Freed space is reused first-fit at once, so the base a request gets (which a
 program can see) depends only on the sequence of calls. Absolute addresses
@@ -69,7 +70,7 @@ class HeapStore(NativeObject):
         if capacity < 16:
             raise EvalFault("heap-config", "heap capacity must be at least 16 bytes")
         self.capacity = capacity
-        self.bytes = None  # bytearray(capacity), made by the first claim
+        self.bytes = bytearray()  # covers every claimed run, see _claim
         self.allocations = []  # every block ever allocated, freed ones included
         self.windows = []  # by simulated start
         # claimed array runs (start, end, block), by address; block is the
@@ -100,8 +101,10 @@ class HeapStore(NativeObject):
                 self._low_max = largest
         if base + size > self.capacity:
             raise EvalFault("out-of-capacity", f"cannot claim {size} bytes of heap")
-        if self.bytes is None:
-            self.bytes = bytearray(self.capacity)
+        if base + size > len(self.bytes):  # the next power of two, at most capacity
+            grown = bytearray(min(self.capacity, 1 << (base + size - 1).bit_length()))
+            grown[: len(self.bytes)] = self.bytes
+            self.bytes = grown
         runs.insert(i, (base, base + size, block))
         return base
 

@@ -5,7 +5,6 @@ Builds the root scope from a parsed module, picks the entry object
 step budget, with stdout captured or streamed.
 """
 
-import contextlib
 import io
 import sys
 
@@ -27,17 +26,14 @@ DEFAULT_HEAP_SIZE = 1 << 20
 RECURSION_LIMIT = 3000
 
 
-@contextlib.contextmanager
-def _recursion_headroom():
-    """Raise the recursion limit to RECURSION_LIMIT for the block and then
-    restore the caller's, so importing or running philang leaves it alone."""
+def _raise_recursion_limit():
+    """Raise the recursion limit to RECURSION_LIMIT and return the caller's,
+    for a `finally` to restore, so importing or running philang leaves it
+    alone. Not a generator context manager, which costs a generator per use."""
     limit = sys.getrecursionlimit()
     if limit < RECURSION_LIMIT:
         sys.setrecursionlimit(RECURSION_LIMIT)
-    try:
-        yield
-    finally:
-        sys.setrecursionlimit(limit)
+    return limit
 
 
 def _valid_builtin(value):
@@ -72,11 +68,13 @@ class Program:
         extra_builtins=None,
     ):
         self.stderr = stderr
+        limit = _raise_recursion_limit()
         try:
-            with _recursion_headroom():
-                self.entries = parse_entries(text, file)
+            self.entries = parse_entries(text, file)
         except RecursionError:
             raise SyntaxFault("program nesting exceeds what the parser can hold", file) from None
+        finally:
+            sys.setrecursionlimit(limit)
         if type(max_steps) is not int or max_steps < 0:
             raise EvalFault("budget-config", f"the step budget must be a non-negative int, got {max_steps!r}")
         for name, value in (extra_builtins or {}).items():
@@ -84,33 +82,24 @@ class Program:
                 raise EvalFault("builtins-config", f"extra builtin {name!r} is not a datum inside int64, "
                                 "a native object or a native object class")
         store = HeapStore(heap_size)
-        self.interp = Interpreter(
-            atoms.vocabulary(store, extra=extra_builtins),
-            max_steps=max_steps,
-            stdout=stdout,
-            stderr=stderr,
-            trace=trace,
-        )
+        self.interp = Interpreter(atoms.vocabulary(store, extra=extra_builtins), max_steps=max_steps,
+                                  stdout=stdout, stderr=stderr, trace=trace)
         self.heap_store = store
-        if traceability:
-            for _name, _const, term in self.entries:
+        bindings, last = [], 0
+        for name, const, term in self.entries:  # one pass: the root's bindings and span
+            if traceability:
                 attach_source(term, warn=lambda m: self.interp.emit(self.interp.stderr, f"warning: {m}\n"))
-        root_term = Formation(
-            params=[],
-            variadic=False,
-            bindings=[(n, t, c) for (n, c, t) in self.entries if n is not None],
-            name="Q",
-            span=SourceSpan(file, 0, max((t.span.last for (_n, _c, t) in self.entries), default=0)),
-        )
-        self.root = Closure(root_term, None)
+            if name is not None:
+                bindings.append((name, term, const))
+            last = max(last, term.span.last)
+        self.root = Closure(Formation([], False, bindings, name="Q", span=SourceSpan(file, 0, last)), None)
         self.interp.root = self.root
 
     def entry_target(self):
-        names = [n for (n, _c, _t) in self.entries if n is not None]
-        if "main" in names:
-            return Name("main")
-        if "app" in names:
-            return Name("app")
+        names = self.root.term.index()  # the named entries; evaluating the target reads it too
+        for name in ("main", "app"):
+            if name in names:
+                return Name(name)
         if not self.entries:
             raise EvalFault("empty-program", "nothing to dataize: the program is empty")
         name, _const, term = self.entries[-1]
@@ -119,20 +108,15 @@ class Program:
     def run(self):
         """Dataize the entry object; returns the final value."""
         target = self.entry_target()
+        limit = _raise_recursion_limit()
         try:
-            with _recursion_headroom():
-                obj = self.interp.evaluate(target, self.root)
-                return self.interp.dataize(obj, abstract=True)
+            return self.interp.dataize(self.interp.evaluate(target, self.root), abstract=True)
         except Signal as s:
-            raise EvalFault(
-                "escaping-signal",
-                f"a {s.kind} signal escaped the program root",
-            ) from None
+            raise EvalFault("escaping-signal", f"a {s.kind} signal escaped the program root") from None
         except RecursionError:
-            raise EvalFault(
-                "deep-recursion",
-                "object nesting exceeded the interpreter stack",
-            ) from None
+            raise EvalFault("deep-recursion", "object nesting exceeded the interpreter stack") from None
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def run_text(text, **kwargs):

@@ -1,5 +1,6 @@
 import pytest
 
+from philang.core import AtomFn
 from philang.errors import BudgetExceeded, EvalFault
 from philang.runtime import run_text
 
@@ -642,6 +643,29 @@ def test_extra_builtin_shadows_a_global():
                                        extra_builtins={"seq": probe})
     assert program.interp.lookup("seq", program.interp.root) is probe
     assert program.run() == 0
+
+
+def test_programs_in_one_process_share_no_mutable_vocabulary():
+    from conftest import Probe
+
+    shadowed, _out, _err = make_program("[] > main\n  seq.peek > @\n",
+                                        extra_builtins={"seq": Probe(), "stdout": Probe()})
+    assert shadowed.run() == 0
+    src = '[] > main\n  memory > m\n  seq > @\n    m.write 5\n    stdout "hi"\n    m.add 1\n'
+    programs = [make_program(src) for _ in range(2)]
+    for program, out, _err in programs:  # the shadowing reached neither
+        interp = program.interp
+        for name in ("seq", "stdout"):
+            assert type(interp.lookup(name, interp.root)) is AtomFn
+        assert interp.lookup("stdout", interp.root) is _under_eolang(interp, "io", "stdout")
+        assert interp.lookup("heap", interp.root) is program.heap_store
+        assert _under_eolang(interp, "gray", "heap") is program.heap_store
+        assert program.run() == 6 and out.getvalue() == b"hi"
+    (first, _o1, _e1), (second, _o2, _e2) = programs
+    assert first.heap_store is not second.heap_store
+    cells = [p.interp.lookup("memory", p.interp.root) for p in (first, second)]
+    cells += [_under_eolang(p.interp, "memory") for p in (first, second)]
+    assert len({id(c) for c in cells}) == 4
 
 
 # a block `v` of n bytes at the start of a fresh allocation, read by `decoder`

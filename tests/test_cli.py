@@ -38,6 +38,15 @@ def test_run_missing_file_exit_two():
     assert err
 
 
+def test_run_file_that_is_not_utf8_exit_two(tmp_path):
+    path = tmp_path / "latin1.phi"
+    path.write_bytes('[] > main\n  stdout "café" > @\n'.encode("latin-1"))
+    code, out, err = cli("run", str(path))
+    assert code == 2
+    assert out == b""
+    assert err.startswith(f"error: cannot read {path}: ".encode()) and b"Traceback" not in err
+
+
 def test_run_parse_error_exit_two(tmp_path):
     bad = tmp_path / "bad.phi"
     bad.write_text("[x] > f\n   memory > i\n")

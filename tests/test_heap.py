@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from philang.errors import EvalFault
@@ -336,11 +338,31 @@ def test_hole_displaced_from_last_place_is_still_found():
     assert store.malloc(24).base == 60
 
 
-def test_buffer_is_made_by_the_first_claim():
-    store = HeapStore(1 << 20)
-    assert store.bytes is None
-    store.malloc(8)
-    assert len(store.bytes) == 1 << 20
+def test_buffer_grows_with_the_claims():
+    # empty before any claim; after each, it covers the highest byte ever
+    # claimed and is at most twice that, and never more than the capacity
+    rng = random.Random(3)
+    for capacity in (16, 100, 1 << 12, 1 << 16):
+        store = HeapStore(capacity)
+        assert store.bytes == bytearray()
+        highest, written = 0, {}
+        for _ in range(200):
+            try:
+                if rng.random() < 0.2:
+                    store.ensure_mapped(capacity + rng.randrange(1 << 20))
+                elif rng.random() < 0.3 and written:
+                    store.free(written.pop(rng.choice(sorted(written))))
+                else:
+                    alloc = store.malloc(rng.randrange(1, capacity // 4 + 2))
+                    store.write(alloc.base, bytes([alloc.base % 251]) * alloc.size)
+                    written[alloc.base] = alloc
+            except EvalFault as exc:
+                assert exc.kind == "out-of-capacity"
+                continue
+            highest = max([highest] + [end for _start, end, _block in store._runs])
+            assert highest <= len(store.bytes) <= min(capacity, 2 * highest)
+            for base, alloc in written.items():  # growing keeps what was written
+                assert store.read(base, alloc.size) == bytes([base % 251]) * alloc.size
 
 
 # -- in-language end to end --------------------------------------------------------
@@ -430,4 +452,4 @@ def test_a_second_store_given_as_a_builtin_keeps_its_own_blocks():
     program, _out, _err = make_program(src, extra_builtins={"h2": other})
     assert program.run() == 42
     assert len(other.allocations) == 1 and decode_int(other.read(0, 8)) == 42
-    assert program.heap_store.allocations == [] and program.heap_store.bytes is None
+    assert program.heap_store.allocations == [] and program.heap_store.bytes == bytearray()

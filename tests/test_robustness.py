@@ -199,8 +199,12 @@ def test_heap_size_above_the_ceiling_or_not_an_int_is_a_config_fault(size):
 
 
 def test_heap_size_at_the_ceiling_allocates_nothing_until_claimed():
+    # the buffer follows the claims, not the limit
     store = HeapStore(MAX_CAPACITY)
-    assert (store.capacity, store.bytes) == (MAX_CAPACITY, None)
+    assert (store.capacity, store.bytes) == (MAX_CAPACITY, bytearray())
+    store.malloc(8)
+    store.ensure_mapped(0x1A76EC09 + MAX_CAPACITY)
+    assert len(store.bytes) < 64 * 1024
 
 
 def test_negative_step_budget_is_a_config_fault():
