@@ -290,8 +290,14 @@ class Interpreter:
             raise BudgetExceeded(self.max_steps)
 
     def emit(self, stream, text):
-        """Write text to `stream` (self.stdout or self.stderr) and flush it."""
-        stream.write(text.encode("utf-8"))
+        """Write text to `stream` (self.stdout or self.stderr) and flush it. A
+        `surrogateescape` byte, as from argv, is written back; any other
+        surrogate is a fault."""
+        try:
+            data = text.encode("utf-8", "surrogateescape")
+        except UnicodeEncodeError as exc:
+            raise EvalFault("bad-bytes", f"text cannot be written as UTF-8: {exc}") from None
+        stream.write(data)
         try:
             stream.flush()
         except (ValueError, OSError):

@@ -4,7 +4,8 @@ Layout rules: two spaces per indent level; a line's children sit exactly one
 level deeper. A child of an application line is a further argument; a child
 of a formation head is a body binding and must carry `> name`. A line of the
 shape `attr.` is a reversed dispatch: its first child is the receiver and the
-remaining children are arguments.
+remaining children are arguments. Only spaces indent: any other character
+before a line's first token is a fault.
 
 `expr > name` anywhere inside a formation hoists a binding onto that
 formation and leaves a reference in place, which is how the surface syntax
@@ -14,12 +15,20 @@ Parsing runs in three phases, each reading its input once:
 
 1. `_read_lines` splits the text into lines, strips each and measures its
    indentation, takes out the `+import` meta lines and lexes every other
-   line with one master regular expression (`_lex_line`) into
-   `(kind, value)` tokens. A bad meta line anywhere is reported before a
-   fault on any other line.
+   line with one master regular expression (`_TOKEN_RE.findall`) into
+   `(kind, value)` tokens. The token of a piece of text is worked out once
+   per parse and shared by every line it occurs on. A bad meta line
+   anywhere is reported before a fault on any other line.
 2. `_build_forest` nests the lines by indentation and records for each line
    the number of its last descendant, which becomes the end of its span.
 3. `_parse_block` parses a line's tokens and then its children into a term.
+
+Every term made from one line shares that line's SourceSpan. A term that
+grows to cover its child lines gets a SourceSpan of its own, and so does
+the head it extends; no span is written after it is made. Duplicate names
+among a formation's bindings, its hoisted names and its parameters are
+found through a dict per formation, so parsing stays linear in the number
+of names.
 
 Nesting is a budget: a line's indentation level plus the parentheses open
 at any point of it may not exceed MAX_NESTING. Past it the parse fails with
@@ -63,25 +72,25 @@ def _quoted(quote, end):
 
 # One alternative per token class, tried in this order at each position
 # after any spaces. Every character but a space starts a match, so the
-# matches tile the line.
-_TOKEN_RE = re.compile(" *(?:" + "|".join(f"(?P<{kind}>{pattern})" for kind, pattern in (
-    ("ident", r"[A-Za-z](?:[A-Za-z0-9]|-(?=[A-Za-z0-9]))*"),
-    ("punct", r"\.\.\.|\.<|[.\[\]()>!@^&]"),
-    ("hex", r"0x[0-9A-Fa-f]+"),
-    ("float", r"-?[0-9]+\.[0-9]+"),
-    ("int", r"-?[0-9]+"),
-    # a quote right after an alphanumeric (`str.isalnum`) or a closing
-    # bracket is the snapshot suffix, not the start of a string
-    ("prime", r"(?:(?<=[^\W_])|(?<=[)\]]))'"),
-    ("string", _quoted('"', '"') + "|" + _quoted("'", "'")),
+# matches tile the line. A quote right after an alphanumeric (`str.isalnum`)
+# or a closing bracket is the snapshot suffix, not the start of a string; it
+# is the one class outside the group, so `findall` gives its text as "".
+_TOKEN_RE = re.compile(r" *(?:'(?:(?<=[^\W_]')|(?<=[)\]]'))|(" + "|".join((
+    r"[A-Za-z][A-Za-z0-9]*(?:-[A-Za-z0-9]+)*",  # identifier
+    r"\.\.\.|\.<|[.\[\]()>!@^&]",  # punctuation
+    r"0x[0-9A-Fa-f]+|-?[0-9]+(?:\.[0-9]+)?",  # hex, float, int
+    _quoted('"', '"'), _quoted("'", "'"),
     # a string cut short by a backslash that starts no escape
-    ("bad_escape", _quoted('"', _BAD_ESCAPE) + "|" + _quoted("'", _BAD_ESCAPE)),
-    ("unterminated", "[\"']"),
-    ("comment", "#"),
-    ("bad", "[^ ]"),
-)) + ")", re.DOTALL)
+    _quoted('"', _BAD_ESCAPE), _quoted("'", _BAD_ESCAPE),
+    "[\"']",  # an unterminated string
+    "#.*",  # a comment, to the end of the line
+    "[^ ]",  # any other character, a fault
+)) + "))", re.DOTALL)
 _UNESCAPE_RE = re.compile(r"\\(.)", re.DOTALL)
 
+# closes every token list, so the parser can look ahead without a bounds check
+_END = ("end", None)
+# the token of each punctuation text, and of the snapshot suffix
 _PUNCT = {
     "...": ("ellipsis", None),
     ".<": ("anchor", None),
@@ -95,14 +104,8 @@ _PUNCT = {
     "@": ("at", None),
     "^": ("caret", None),
     "&": ("amp", None),
+    "": ("prime", None),
 }
-_NUMBER = {"hex": lambda text: int(text, 16), "float": float, "int": int}
-_FAULTS = {
-    "bad_escape": "bad escape in string literal",
-    "unterminated": "unterminated string literal",
-}
-# closes every token list, so the parser can look ahead without a bounds check
-_END = ("end", None)
 
 _META_RE = re.compile(r"\+import\s+([A-Za-z][A-Za-z0-9.-]*)")
 
@@ -113,57 +116,44 @@ def _show(tok):
     return kind if value is None else f"{kind}({value!r})"
 
 
-def _lex_line(text, file, line):
-    """Tokenize one logical line (indentation already stripped) into
-    `(kind, value)` tuples, ending with `_END`."""
-    toks = []
-    for m in _TOKEN_RE.finditer(text):
-        kind = m.lastgroup
-        if kind == "ident":
-            toks.append(("ident", m[kind]))
-        elif kind == "punct":
-            toks.append(_PUNCT[m[kind]])
-        elif kind in _NUMBER:
-            value = _NUMBER[kind](m[kind])
-            if type(value) is int and not INT64_MIN <= value <= INT64_MAX:
-                raise SyntaxFault(f"integer literal {m[kind]} is outside the int64 range", file, line)
-            toks.append(("number", value))
-        elif kind == "string":
-            body = m[kind][1:-1]
-            if "\\" in body:
-                body = _UNESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], body)
-            toks.append(("string", body))
-        elif kind == "prime":
-            toks.append(("prime", None))
-        elif kind == "comment":
-            break
+def _token(text, memo, file, line):
+    """The token of `text`, a match of `_TOKEN_RE` seen for the first time
+    in this parse, recorded in `memo`. A comment's token is `_END`."""
+    first = text[0]
+    if first.isascii() and first.isalpha():
+        tok = ("ident", text)
+    elif first == '"' or first == "'":
+        if len(text) == 1:
+            raise SyntaxFault("unterminated string literal", file, line)
+        if text[-1] == "\\":
+            raise SyntaxFault("bad escape in string literal", file, line)
+        body = text[1:-1]
+        tok = ("string", _UNESCAPE_RE.sub(lambda e: _ESCAPES[e[1]], body) if "\\" in body else body)
+    elif first in "0123456789" or first == "-" and len(text) > 1:
+        if "." in text:
+            value = float(text)
         else:
-            message = _FAULTS.get(kind) or f"unexpected character {m[kind]!r}"
-            raise SyntaxFault(message, file, line)
-    toks.append(_END)
-    return toks
+            value = int(text, 16 if "x" in text else 10)
+            if not INT64_MIN <= value <= INT64_MAX:
+                raise SyntaxFault(f"integer literal {text} is outside the int64 range", file, line)
+        tok = ("number", value)
+    elif first == "#":
+        tok = _END
+    else:
+        raise SyntaxFault(f"unexpected character {text!r}", file, line)
+    memo[text] = tok
+    return tok
 
 
-def _bind(sink, name, term, const, file, line):
-    """Append a binding to a formation's list; a name binds once. A bound
-    formation takes the name, for diagnostics and traces."""
-    for b in sink:
-        if b[0] == name:
-            raise SyntaxFault(f"duplicate binding {name}", file, line)
+def _bind(sink, name, term, const, line):
+    """Add a binding to a formation's sink, a dict from name to binding in
+    source order; a name binds once. A bound formation takes the name, for
+    diagnostics and traces."""
+    if name in sink:
+        raise SyntaxFault(f"duplicate binding {name}", line.span.file, line.num)
     if type(term) is Formation and term.name is None and name != "@":
         term.name = name
-    sink.append((name, term, const))
-
-
-class _Line:
-    __slots__ = ("num", "indent", "toks", "children", "last")
-
-    def __init__(self, num, indent, toks):
-        self.num = num
-        self.indent = indent
-        self.toks = toks
-        self.children = []
-        self.last = num  # the line number of its last descendant
+    sink[name] = (name, term, const)
 
 
 def _read_lines(text, file):
@@ -172,6 +162,8 @@ def _read_lines(text, file):
     metas = []
     lines = []
     fault = None
+    memo = dict(_PUNCT)
+    findall = _TOKEN_RE.findall
     for num, raw in enumerate(text.split("\n")):
         stripped = raw.strip()
         if not stripped:
@@ -190,11 +182,16 @@ def _read_lines(text, file):
         body = raw.lstrip(" ")
         spaces = len(raw) - len(body)
         try:
-            if body[0] != first and "\t" in body[: len(body) - len(body.lstrip())]:
-                raise SyntaxFault("tab in indentation", file, num)
+            if body[0] != first:
+                raise SyntaxFault("tab in indentation" if body[0] == "\t"
+                                  else f"unexpected character {body[0]!r} in indentation", file, num)
             if spaces % 2:
                 raise SyntaxFault(f"indentation of {spaces} spaces is not a multiple of two", file, num)
-            lines.append(_Line(num, spaces >> 1, _lex_line(stripped, file, num)))
+            toks = []
+            for t in findall(stripped):
+                toks.append(memo.get(t) or _token(t, memo, file, num))
+            toks.append(_END)
+            lines.append(_Line(num, spaces >> 1, toks))
         except SyntaxFault as e:
             fault = e
     if fault is not None:
@@ -214,7 +211,7 @@ def _build_forest(lines, file):
     stack = []
     prev = None
     for line in lines:
-        indent = line.indent
+        indent = line.depth
         if indent > len(stack):
             raise SyntaxFault(
                 f"unexpected indent (level {indent}, expected at most {len(stack)})",
@@ -240,28 +237,28 @@ _BOOLS = {"TRUE": True, "FALSE": False}
 _EXPR_END = frozenset(("namer", "rparen", "dot", "end"))
 
 
-class _LineParser:
-    """Parses one line's tokens into (term, name, const, reversed_attr).
+class _Line:
+    """One source line: its tokens, its place in the forest and the state
+    of `_parse_block` reading it.
 
-    Tokens are read by index; the list ends with `_END`, so looking one or
-    two tokens ahead never runs off it. `depth` is the line's indentation
-    level plus the parentheses open at the current token.
+    Tokens are read by index from `pos`; the list ends with `_END`, so
+    looking one or two tokens ahead never runs off it. `depth` is the
+    line's indentation level plus the parentheses open at the current
+    token. `span`, made when the line is read, is shared by the terms made
+    from it; `last` is the line number of its last descendant.
     """
 
-    __slots__ = ("toks", "pos", "file", "num", "depth")
+    __slots__ = ("num", "depth", "toks", "span", "children", "last", "pos")
 
-    def __init__(self, line, file):
-        self.toks = line.toks
+    def __init__(self, num, depth, toks):
+        self.num = num
+        self.depth = depth
+        self.toks = toks
+        self.children = []
         self.pos = 0
-        self.file = file
-        self.num = line.num
-        self.depth = line.indent
 
     def fail(self, msg):
-        raise SyntaxFault(msg, self.file, self.num)
-
-    def span(self):
-        return SourceSpan(self.file, self.num, self.num)
+        raise SyntaxFault(msg, self.span.file, self.num)
 
     def take(self):
         """The next token, consumed; the end of the line is a fault."""
@@ -302,19 +299,19 @@ class _LineParser:
         return name, False
 
     def params(self):
-        params = []
+        params = {}  # an ordered set, for the duplicate check
         variadic = False
         while True:
             tok = self.take()
             if tok[0] == "rbracket":
-                return params, variadic
+                return list(params), variadic
             if tok[0] != "ident":
                 self.fail(f"expected a parameter name, found {_show(tok)}")
             if variadic:
                 self.fail("variadic parameter must be last")
             if tok[1] in params:
                 self.fail(f"duplicate parameter {tok[1]}")
-            params.append(tok[1])
+            params[tok[1]] = None
             if self.toks[self.pos][0] == "ellipsis":
                 self.pos += 1
                 variadic = True
@@ -328,20 +325,21 @@ class _LineParser:
         level of parentheses costs two Python frames.
         """
         toks = self.toks
+        span = self.span
         kind, value = toks[self.pos]
         self.pos += 1
         if kind == "ident":
             if value in _BOOLS:
-                term = Literal(_BOOLS[value], span=self.span())
+                term = Literal(_BOOLS[value], span)
             else:
-                term = Name(value, span=self.span())
+                term = Name(value, span)
         elif kind == "number" or kind == "string":
-            term = Literal(value, span=self.span())
+            term = Literal(value, span)
         elif kind in _SPECIAL:
-            term = Name(_SPECIAL[kind], span=self.span())
+            term = Name(_SPECIAL[kind], span)
         elif kind == "lbracket":
             params, variadic = self.params()
-            bindings = []
+            bindings = {}
             while toks[self.pos][0] == "lparen":
                 self.pos += 1
                 self.open_group()
@@ -349,9 +347,9 @@ class _LineParser:
                 name, const = self.namer()
                 if name is None:
                     self.fail("a formation's inline group must bind a name (expr > name)")
-                _bind(bindings, name, inner, const, self.file, self.num)
+                _bind(bindings, name, inner, const, self)
                 self.close_group()
-            term = Formation(params, variadic, bindings, span=self.span())
+            term = Formation(params, variadic, list(bindings.values()), span=span)
         elif kind == "lparen":
             self.open_group()
             term = self.expr(sink)
@@ -360,8 +358,8 @@ class _LineParser:
             if name is not None:
                 if sink is None:
                     self.fail("named expression outside any formation")
-                _bind(sink, name, term, const, self.file, self.num)
-                term = Name(name, span=self.span())
+                _bind(sink, name, term, const, self)
+                term = Name(name, span)
         elif kind == "end":
             self.fail("unexpected end of line")
         else:
@@ -377,13 +375,13 @@ class _LineParser:
                     attr = _SPECIAL[nkind]
                 elif nkind != "ident":
                     self.fail(f"expected an attribute name after '.', found {_show((nkind, attr))}")
-                term = Dispatch(term, attr, span=self.span())
+                term = Dispatch(term, attr, span)
             elif kind == "anchor":
                 self.pos += 1
-                term = Anchor(term, span=self.span())
+                term = Anchor(term, span)
             elif kind == "prime":
                 self.pos += 1
-                term = SnapshotRef(term, span=self.span())
+                term = SnapshotRef(term, span)
             else:
                 return term
 
@@ -397,68 +395,63 @@ class _LineParser:
         args = []
         while toks[self.pos][0] not in _EXPR_END:
             args.append(self.operand(sink))
-        return Application(head, args, span=self.span())
-
-    def line(self, sink):
-        """Returns (term, name, const, reversed_attr)."""
-        toks = self.toks
-        # reversed dispatch: `attr.` optionally followed by `> name`
-        if toks[0][0] == "ident" and toks[1][0] == "dot" and toks[2][0] in ("namer", "end"):
-            self.pos = 2
-            name, const = self.namer()
-            if toks[self.pos] is not _END:
-                self.fail("trailing tokens after reversed dispatch")
-            return None, name, const, toks[0][1]
-        term = self.expr(sink)
-        name, const = self.namer()
-        if toks[self.pos] is not _END:
-            self.fail(f"trailing tokens starting at {_show(toks[self.pos])}")
-        return term, name, const, None
+        return Application(head, args, self.span)
 
 
 def _parse_block(line, file, sink):
     """Parse a line and its children into a Term.
 
-    Returns (term, name, const). `sink` is the bindings list of the
+    Returns (term, name, const). `sink` is the bindings dict of the
     innermost formation, used to hoist `expr > name` found in argument
     positions.
     """
-    term, name, const, reversed_attr = _LineParser(line, file).line(sink)
+    line.span = SourceSpan(file, line.num, line.num)
+    toks = line.toks
     children = line.children
-
-    if reversed_attr is not None:
+    # reversed dispatch: `attr.` optionally followed by `> name`
+    if toks[1][0] == "dot" and toks[0][0] == "ident" and toks[2][0] in ("namer", "end"):
+        line.pos = 2
+        name, const = line.namer()
+        if toks[line.pos] is not _END:
+            line.fail("trailing tokens after reversed dispatch")
+        attr = toks[0][1]
         if not children:
-            raise SyntaxFault(f"reversed dispatch {reversed_attr}. needs a receiver", file, line.num)
+            line.fail(f"reversed dispatch {attr}. needs a receiver")
         recv, rname, _ = _parse_block(children[0], file, sink)
         if rname is not None:
-            raise SyntaxFault("the receiver of a reversed dispatch cannot bind a name", file, line.num)
+            line.fail("the receiver of a reversed dispatch cannot bind a name")
         args = _child_args(children[1:], file, sink)
+        span = SourceSpan(file, line.num, line.last)
         if args:
-            head = Dispatch(recv, reversed_attr, span=SourceSpan(file, line.num, line.num))
-            term = Application(head, args, span=SourceSpan(file, line.num, line.last))
-        else:
-            term = Dispatch(recv, reversed_attr, span=SourceSpan(file, line.num, line.last))
-        return term, name, const
+            return Application(Dispatch(recv, attr, line.span), args, span), name, const
+        return Dispatch(recv, attr, span), name, const
 
+    term = line.expr(sink)
+    name, const = line.namer()
+    if toks[line.pos] is not _END:
+        line.fail(f"trailing tokens starting at {_show(toks[line.pos])}")
     if not children:
         return term, name, const
 
+    span = SourceSpan(file, line.num, line.last)
     if type(term) is Formation:
         # children are body bindings
+        bindings = {b[0]: b for b in term.bindings}
         for child in children:
-            bterm, bname, bconst = _parse_block(child, file, term.bindings)
+            bterm, bname, bconst = _parse_block(child, file, bindings)
             if bname is None:
-                raise SyntaxFault("a formation body line must bind a name (expr > name)", file, child.num)
-            _bind(term.bindings, bname, bterm, bconst, file, child.num)
+                child.fail("a formation body line must bind a name (expr > name)")
+            _bind(bindings, bname, bterm, bconst, child)
+        term.bindings = list(bindings.values())
     else:
-        # application head: children are further arguments; an application
-        # keeps the span of the term it extends, whose end then moves
+        # application head: children are further arguments
         args = _child_args(children, file, sink)
         if type(term) is Application:
-            term = Application(term.head, term.args + args, span=term.span)
+            term.args += args
         else:
-            term = Application(term, args, span=term.span)
-    term.span.last = line.last
+            term.span = span  # a head extended by argument lines spans them too
+            term = Application(term, args)
+    term.span = span
     return term, name, const
 
 
@@ -471,9 +464,9 @@ def _child_args(children, file, sink):
         aterm, aname, aconst = _parse_block(child, file, sink)
         if aname is not None:
             if sink is None:
-                raise SyntaxFault("named argument outside any formation", file, child.num)
-            _bind(sink, aname, aterm, aconst, file, child.num)
-            aterm = Name(aname, span=SourceSpan(file, child.num, child.num))
+                child.fail("named argument outside any formation")
+            _bind(sink, aname, aterm, aconst, child)
+            aterm = Name(aname, child.span)
         args.append(aterm)
     return args
 

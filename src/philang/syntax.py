@@ -1,7 +1,8 @@
 """Syntax tree for the object-calculus surface language.
 
 Terms carry a SourceSpan (zero-based inclusive line range) so runtime
-objects can be traced back to the file they came from.
+objects can be traced back to the file they came from. The terms of one
+line share a span, so no span is written once made.
 """
 
 

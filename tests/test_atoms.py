@@ -492,6 +492,16 @@ def test_stdout_returns_true_and_writes_bytes():
     assert value is True
 
 
+def test_stdout_of_a_surrogate_writes_its_byte_or_faults():
+    # a surrogate standing for an undecodable byte goes out as that byte
+    out, _err, value = run_text("stdout s\n", extra_builtins={"s": "a\udcffb"})
+    assert (out, value) == (b"a\xffb", True)
+    # any other surrogate has no UTF-8 form
+    with pytest.raises(EvalFault) as e:
+        run_text("stdout s\n", extra_builtins={"s": "\ud800"})
+    assert fault_kind(e) == "bad-bytes"
+
+
 def test_as_int_bytes_wrong_length():
     # a 4-byte sequence cannot become an int
     src = """\

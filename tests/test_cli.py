@@ -177,6 +177,12 @@ def test_eval_of_bytes_that_are_not_utf8_exit_one():
     assert err.startswith(b"error: bad-bytes: bytes are not valid UTF-8") and err.count(b"\n") == 1
 
 
+def test_eval_of_a_byte_that_is_not_utf8_writes_it_back():
+    # argv is decoded with surrogateescape; the byte goes out as it came in
+    code, out, err = cli("eval", b'stdout "\xff"')
+    assert (code, out, err) == (0, b"\xffTRUE\n", b"")
+
+
 def test_int_literal_outside_int64_exit_two():
     code, out, err = cli("eval", "99999999999999999999999")
     assert code == 2

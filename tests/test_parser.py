@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from philang import corpus
@@ -70,6 +72,21 @@ def test_named_expression_fault_sites(src, message):
 def test_tab_indent_rejected():
     with pytest.raises(SyntaxFault):
         parse_program("[x] > f\n\tmemory > i\n", "bad.phi")
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
+        ("[] > m\n  \x0c1 > @\n", "i.phi:1: unexpected character '\\x0c' in indentation"),
+        ("  \x0c  x\n", "i.phi:0: unexpected character '\\x0c' in indentation"),
+        (" \xa0 1 > @\n", "i.phi:0: unexpected character '\\xa0' in indentation"),
+        ("[] > m\n \t 1 > @\n", "i.phi:1: tab in indentation"),
+    ],
+)
+def test_only_spaces_indent(src, message):
+    with pytest.raises(SyntaxFault) as e:
+        parse_program(src, "i.phi")
+    assert str(e.value) == message
 
 
 def test_over_deep_indent_rejected():
@@ -323,3 +340,25 @@ def test_prime_follows_an_alphanumeric_or_a_closing_bracket():
     # after a space, a quote opens a character string
     ((_name, _const, term),) = parse_entries("f 'x' > a\n", "p.phi")
     assert term.args[0].value == "x"
+
+
+def test_front_end_is_linear_in_names():
+    # duplicate checks must not scan a list per name: a formation's
+    # bindings, its hoisted names and its parameters, 20,000 of each, parse
+    # within 3x the time of as many top-level bindings (CPU time, best of 3)
+    n = 20_000
+    def cost(src):
+        runs = []
+        for _ in range(3):
+            start = time.thread_time()
+            parse_entries(src, "n.phi")
+            runs.append(time.thread_time() - start)
+        return min(runs)
+    base = cost("".join(f"{i} > a{i}\n" for i in range(n)))
+    cases = {
+        "bindings": "[] > f\n" + "".join(f"  {i} > a{i}\n" for i in range(n)),
+        "hoisted": "[] > f\n  seq > @\n" + "".join(f"    {i} > a{i}\n" for i in range(n)),
+        "params": "[" + " ".join(f"a{i}" for i in range(n)) + "] > f\n",
+    }
+    for case, src in cases.items():
+        assert cost(src) < 3 * base, case
