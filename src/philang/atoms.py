@@ -104,7 +104,7 @@ class Raiser(NativeObject):
         _arity(arg_thunks, 1, self.kind)
         return Raiser(self.token, self.kind, arg_thunks[0])
 
-    def native_step(self, interp):
+    def fire(self, interp):
         if not self.token.alive:
             raise EvalFault(
                 "dead-token",
@@ -530,6 +530,8 @@ def _run_free(interp, store, args):
     target = interp.deep_reduce(args[0].force(interp))
     if not isinstance(target, AllocObj):
         raise EvalFault("bad-free", "free expects a malloc allocation")
+    if target.store is not store:
+        raise EvalFault("bad-free", "free got an allocation of another heap")
     store.free(target.alloc)
     return True
 

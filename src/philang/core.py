@@ -23,11 +23,12 @@ divergent program stops, so every evaluate, resolve, apply, reduction and
 atom run counts one step, in a fixed order. The hot dispatch is
 specialized for speed without moving a step: evaluate, apply and
 deep_reduce branch on the exact type of their subject, common cases
-first, and count their step inline instead of calling tick(); lookup
-reaches a formation's bindings through its binding index. The paths that
-programs seldom take (soft_resolve, the special names, the home walk) are
-written plainly. run_cached calls trace_step even when tracing is off, so
-the traced benchmark can count its misses.
+first, and count their step inline instead of calling tick(). Every read
+of a closure's attribute gets its thunk from Closure.attr_thunk; lookup
+reads one already made without the call. The paths that programs seldom
+take (soft_resolve, the special names, the home walk) are written plainly.
+run_cached calls trace_step even when tracing is off, so the traced
+benchmark can count its misses.
 
 One node sequence is fused into one Python frame (a superinstruction):
 evaluate builds `recv.op args`. It looks a name receiver up or evaluates
@@ -156,16 +157,28 @@ class Closure:
         return self.term.name or "[]"
 
     def attr_thunk(self, name, interp):
-        th = self._attrs.get(name)
+        """The thunk of attribute `name`: a bound parameter's argument, or the
+        binding's thunk, made here on its first read; None when there is
+        neither. Bare names, dispatches, decoratees and record fields all
+        get theirs here. An unbound parameter faults. Before it makes a
+        thunk, it runs the `.block` bindings declared before it, in order,
+        making theirs here too, each with its own `!` flag, so a record's
+        fields pack in declaration order whichever is read first."""
+        th = self.bound.get(name) or self._attrs.get(name)
         if th is None:
-            found = self.term.index().get(name)
-            if found is None:
+            term = self.term
+            found = (term._index or term.index()).get(name, _MISS)
+            if found is _MISS:
                 return None
-            term, const, earlier_blocks = found
-            if earlier_blocks:
-                interp.prepare_blocks(self, earlier_blocks)
-            th = Thunk(term, self, const)
-            self._attrs[name] = th
+            if found is None:
+                raise EvalFault("partial-application", f"parameter {name!r} of {self.label()} was never bound")
+            if found[2]:
+                for bname, bterm, bconst in term.blocks[: found[2]]:
+                    block = self._attrs.get(bname)
+                    if block is None:
+                        block = self._attrs[bname] = Thunk(bterm, self, bconst)
+                    interp.deep_reduce(block.force(interp))
+            th = self._attrs[name] = Thunk(found[0], self, found[1])
         return th
 
     def copy_with(self, arg_thunks, interp):
@@ -206,11 +219,6 @@ class NativeObject:
 
     def native_apply(self, interp, arg_thunks):
         raise EvalFault("not-applicable", f"{self.label} cannot be copied with arguments")
-
-    def native_step(self, interp):
-        """Hook run when the object is reduced, after its step is ticked and
-        before it is read. It may raise (a jump signal, say); otherwise the
-        object stays as it is, a normal form."""
 
     def __repr__(self):
         return f"<{self.label}>"
@@ -395,20 +403,14 @@ class Interpreter:
             return self.special(ident, owner, bare=True)
         node = owner
         while node is not None:
-            th = node.bound.get(ident)
+            # attr_thunk and Thunk.force inline, but for making a thunk: 1.05x loop, 1.06x recursion
+            th = node.bound.get(ident) or node._attrs.get(ident)
             if th is None:
-                if ident in node.term.params:
-                    raise EvalFault(
-                        "partial-application",
-                        f"parameter {ident!r} of {node.label()} was never bound",
-                    )
-                th = node._attrs.get(ident)
-                if th is None:
-                    term = node.term
-                    if ident not in (term._index or term.index()):
-                        node = node.lexical
-                        continue
-                    th = node.attr_thunk(ident, self)
+                term = node.term
+                if ident not in (term._index or term.index()):
+                    node = node.lexical
+                    continue
+                th = node.attr_thunk(ident, self)
             obj = th.obj
             return obj if obj is not _UNSET else th.force(self)
         made = self.vocabulary.native_attr(self, ident)
@@ -447,17 +449,6 @@ class Interpreter:
             node = node.lexical
         raise EvalFault("unknown-name", "@ used where no enclosing object has a decoratee")
 
-    def prepare_blocks(self, closure, blocks):
-        """Run the `.block` bindings `blocks`, each a (name, term) pair
-        declared before the attribute being made, so record fields pack in
-        declaration order regardless of access order."""
-        for bname, bterm in blocks:
-            th = closure._attrs.get(bname)
-            if th is None:
-                th = Thunk(bterm, closure)
-                closure._attrs[bname] = th
-            self.deep_reduce(th.force(self))
-
     # -- resolution ---------------------------------------------------------
 
     def _no_attribute(self, obj, name):
@@ -474,7 +465,7 @@ class Interpreter:
             elif t is Closure:
                 if name in _SPECIAL:
                     return self.special(name, obj, bare=False)
-                th = obj.bound.get(name) or obj.attr_thunk(name, self)
+                th = obj.attr_thunk(name, self)
                 if th is not None:
                     return th.force(self)
                 if obj is self.root:
@@ -585,7 +576,7 @@ class Interpreter:
             if t is Closure:
                 if obj._reduced is not _UNSET:
                     return obj._reduced
-                th = obj._attrs.get("@") or obj.attr_thunk("@", self)
+                th = obj.attr_thunk("@", self)
                 if th is None:
                     return obj
                 if obj._reducing:
@@ -604,14 +595,15 @@ class Interpreter:
                 obj._reducing = True
                 self.depth += 1
                 try:
-                    reduced = self.deep_reduce(th.force(self) if th.obj is _UNSET else th.obj)
+                    reduced = self.deep_reduce(th.force(self))
                 finally:
                     self.depth -= 1
                     obj._reducing = False
                 obj._reduced = reduced
                 return reduced
             if isinstance(obj, NativeObject):
-                obj.native_step(self)
+                if t is atoms.Raiser:
+                    obj.fire(self)
                 return obj
             return _plain_datum(obj, "reduce")
 

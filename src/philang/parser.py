@@ -187,8 +187,10 @@ def _read_lines(text, file):
                                   else f"unexpected character {body[0]!r} in indentation", file, num)
             if spaces % 2:
                 raise SyntaxFault(f"indentation of {spaces} spaces is not a multiple of two", file, num)
+            if body[-1] == "\r":  # a CRLF line ending
+                body = body[:-1]
             toks = []
-            for t in findall(stripped):
+            for t in findall(body):
                 toks.append(memo.get(t) or _token(t, memo, file, num))
             toks.append(_END)
             lines.append(_Line(num, spaces >> 1, toks))

@@ -76,15 +76,16 @@ class Formation(Term):
     bindings is an ordered list of (name, term, const_flag). The decoratee,
     if any, is the binding named '@'. A trailing param may be variadic.
 
-    The run time looks bindings up through a binding index: name ->
-    (term, const_flag, earlier_blocks), where earlier_blocks are the
-    (name, term) pairs of the `.block` bindings declared before it. The
-    first binding of a name wins. The index is built on the first lookup
-    and dropped by `attach_source` when it appends a binding, so it is
-    rebuilt from the list as it then stands.
+    The run time looks attributes up through a binding index: name ->
+    (term, const_flag, earlier), where earlier counts the `.block` bindings
+    declared before it, the first entries of `blocks`, the formation's one
+    ordered list of its `.block` bindings. A parameter maps to None, so it
+    shadows a binding of its name; otherwise the first binding of a name
+    wins. Both are built on the first lookup, and rebuilt from `bindings`
+    after `attach_source` appends one and drops the index.
     """
 
-    __slots__ = ("params", "variadic", "bindings", "name", "_index")
+    __slots__ = ("params", "variadic", "bindings", "name", "_index", "blocks")
 
     def __init__(self, params, variadic, bindings, name=None, span=None):
         self.span = span
@@ -93,22 +94,24 @@ class Formation(Term):
         self.bindings = bindings
         self.name = name
         self._index = None
+        self.blocks = None
 
     def index(self):
-        """The binding index, built from `bindings` on first use."""
+        """The binding index, built from `params` and `bindings` on first use."""
         index = self._index
         if index is None:
-            index = {}
-            blocks = ()
-            for bname, bterm, bconst in self.bindings:
+            index = dict.fromkeys(self.params)
+            blocks = self.blocks = []
+            for binding in self.bindings:
+                bname, bterm, bconst = binding
                 if bname not in index:
-                    index[bname] = (bterm, bconst, blocks)
-                if (
-                    type(bterm) is Application
-                    and type(bterm.head) is Dispatch
-                    and bterm.head.attr == "block"
-                ):
-                    blocks += ((bname, bterm),)
+                    index[bname] = (bterm, bconst, len(blocks))
+                    if (
+                        type(bterm) is Application
+                        and type(bterm.head) is Dispatch
+                        and bterm.head.attr == "block"
+                    ):
+                        blocks.append(binding)
             self._index = index
         return index
 

@@ -744,6 +744,10 @@ FAULT_SITES = {
                       "bad-bytes: as-int needs exactly 8 bytes, got 4"),
     "partial-application-lookup": ("[x] > f\n  x > y\nf.y\n",
                                    "partial-application: parameter 'x' of f was never bound"),
+    # a dispatch to an unbound parameter faults as a bare read does, and does
+    # not reach the decoratee, which binds the name
+    "partial-application-dispatch": ("[] > g\n  7 > b\n[a b] > f\n  g > @\n(f 1).b\n",
+                                     "partial-application: parameter 'b' of f was never bound"),
     "unknown-name-decoratee": ("[] > main\n  @ > @\n",
                                "unknown-name: @ used where no enclosing object has a decoratee"),
     "circular-reduction-deep": ("[] > a\n  a > @\na\n", "circular-reduction: a decorates its own reduction"),

@@ -436,6 +436,34 @@ f
     assert value == 42
 
 
+_REC = """\
+[ptr] > rec
+  ptr.block > a!
+    8
+    [b] (b.as-int > @)
+  ptr.block > c
+    8
+    [b] (b.as-int > @)
+[] > main
+  seq > @
+    heap.malloc 16 > seg
+    (seg.pointer 0 8).block 8 ([b] (b.as-int > @)) > raw
+    rec (seg.pointer 0 8) > r
+    raw.write 5
+    r.{first}
+    stdout (r.a.as-string)
+    raw.write 9
+    stdout (r.a.as-string)
+"""
+
+
+@pytest.mark.parametrize("first", ["a", "c"])
+def test_a_const_record_field_is_pinned_by_its_first_read_whichever_field_is_read_first(first):
+    # reading c first runs a, the block declared before it, with a's own `!`
+    out, _value = run_src(_REC.format(first=first))
+    assert out == b"55"
+
+
 def test_heap_size_flag_is_respected():
     src = "Q.org.eolang.gray.heap.malloc 4096\n"
     with pytest.raises(EvalFault) as e:
@@ -453,3 +481,22 @@ def test_a_second_store_given_as_a_builtin_keeps_its_own_blocks():
     assert program.run() == 42
     assert len(other.allocations) == 1 and decode_int(other.read(0, 8)) == 42
     assert program.heap_store.allocations == [] and program.heap_store.bytes == bytearray()
+
+
+# the second frees another heap's block at the base of a live block of the
+# program's heap, which must keep its run
+_FREE_OTHER = {
+    "alone": "[] > main\n  heap.free (h2.malloc 8) > @\n",
+    "over-a-live-block": ("[] > main\n  heap.malloc 8 > a\n  (a.pointer 0 8).block > v\n    8\n    [b] (b.as-int > @)\n"
+                          "  seq > @\n    v.write 1\n    heap.free (h2.malloc 8)\n    v.write 2\n    v\n"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_FREE_OTHER))
+def test_freeing_another_heaps_allocation_is_a_bad_free(shape):
+    program, _out, _err = make_program(_FREE_OTHER[shape], extra_builtins={"h2": HeapStore(64)})
+    with pytest.raises(EvalFault) as e:
+        program.run()
+    assert str(e.value) == "bad-free: free got an allocation of another heap"
+    store = program.heap_store
+    assert [run[2] for run in store._runs] == [a for a in store.allocations if a.alive]

@@ -17,6 +17,7 @@ from philang.syntax import (
     SourceSpan,
 )
 
+from conftest import run_src
 from test_parser_parity import dump
 
 MAX_SRC = """\
@@ -322,6 +323,10 @@ def test_meta_line_indentation_is_not_checked():
         ("(f x > a y\n", "l.phi:0: expected rparen, found ident('y')"),
         ("f ²\n", "l.phi:0: unexpected character '²'"),
         ("f -²\n", "l.phi:0: unexpected character '-'"),
+        # after a line's last token as between two tokens
+        ("1 > @\t\n", "l.phi:0: unexpected character '\\t'"),
+        ("1 > @\xa0\n", "l.phi:0: unexpected character '\\xa0'"),
+        ("1 > @\x0b\r\n", "l.phi:0: unexpected character '\\x0b'"),
         ('f "a\\q"\n', "l.phi:0: bad escape in string literal"),
         ('f "a\\\\\n', "l.phi:0: unterminated string literal"),
         ('f "a\\\n', "l.phi:0: bad escape in string literal"),
@@ -331,6 +336,41 @@ def test_lexer_and_parser_fault_messages(src, message):
     with pytest.raises(SyntaxFault) as e:
         parse_program(src, "l.phi")
     assert str(e.value) == message
+
+
+def test_binding_index_is_linear_in_block_fields():
+    # each entry counts the `.block` bindings before it, so 16,000 record
+    # fields index within 3x the time of as many plain bindings (CPU time,
+    # best of 3)
+    n = 16_000
+    def cost(term):
+        bindings = [(f"f{i}", term, False) for i in range(n)]
+        runs = []
+        for _ in range(3):
+            formation = Formation([], False, bindings)
+            start = time.thread_time()
+            index = formation.index()
+            runs.append(time.thread_time() - start)
+        assert len(index) == n
+        return min(runs)
+    field = Application(Dispatch(Name("ptr"), "block"), [Literal(8)])
+    assert cost(field) < 3 * cost(Literal(8))
+
+
+def test_binding_index_counts_the_block_fields_before_each_entry():
+    src = "[ptr] > rec\n  ptr.block 8 x > a\n  1 > b\n  ptr.block 8 x > c!\n  2 > d\n"
+    ((_name, _const, rec),) = parse_entries(src, "r.phi")
+    index = dict(rec.index())
+    assert index.pop("ptr") is None  # a parameter shadows a binding of its name
+    assert {name: entry[2] for name, entry in index.items()} == {"a": 0, "b": 1, "c": 1, "d": 2}
+    assert [(name, const) for name, _term, const in rec.blocks] == [("a", False), ("c", True)]
+
+
+def test_crlf_line_endings_and_trailing_spaces_parse_and_run():
+    crlf = "[x] > f  \r\n  x.add 1 > @\r\n\t \r\nf 41\r\n"
+    assert [dump(t) for _n, _c, t in parse_entries(crlf, "c.phi")] == [
+        dump(t) for _n, _c, t in parse_entries("[x] > f\n  x.add 1 > @\n\nf 41\n", "c.phi")]
+    assert run_src(crlf) == (b"", 42)
 
 
 def test_prime_follows_an_alphanumeric_or_a_closing_bracket():

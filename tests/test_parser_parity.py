@@ -32,7 +32,7 @@ MUTATIONS = 2000
 ALPHABET = "\"'\\#.<>[]()!@^&-0x 1aZ" + "\t+é"
 
 CORPUS_SHA256 = "96fcbe90300775b8f9319663bdbed0a140900c123ddab1697502d9999c746c6f"
-MUTATIONS_SHA256 = "8b8e61aabe7a09208b7b0e530dd848f661feaf9ef8174383a2f1360802c55f6d"
+MUTATIONS_SHA256 = "837a69ee0ff310a2494af6f59d184137a05617110c88360bbee4a066b50ab5fc"
 
 
 def dump(term):
