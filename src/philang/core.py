@@ -39,14 +39,14 @@ through soft_resolve and apply. It ticks the steps the general path would,
 in its order, with the budget checked before each is counted (k at once
 only when all k fit). When the table misses or the budget is too short, it
 goes on along the general path from the value in hand, without ticking
-again and without a Python frame more per nesting level. force_datum, the
-argument read of atoms, runs an unrun atom application in its own frame.
-Tracing only writes lines: a traced run takes the same frames and steps.
-Each copy kept for speed states its gain: perfbench steps_per_s with it
-over without it, median of alternating pairs. The step path has no
-comprehension: before Python 3.12 (PEP 709) each one builds a function and
-a frame, so thunk lists are `list(map(Thunk, args, repeat(owner)))` and
-deep_reduce lists a closure's unbound parameters only to fault.
+again and without a Python frame more per nesting level. Every atom
+application runs in run_cached. Tracing only writes lines: a traced run
+takes the same frames and steps. Each copy kept for speed states its
+gain: perfbench steps_per_s with it over without it, median of
+alternating pairs. The step path has no comprehension: before Python
+3.12 (PEP 709) each one builds a function and a frame, so thunk lists
+are `list(map(Thunk, args, repeat(owner)))` and deep_reduce lists a
+closure's unbound parameters only to fault.
 """
 
 import sys
@@ -277,7 +277,7 @@ class Interpreter:
     `vocabulary` is the namespace that bare global names and `Q.<name>`
     resolve in."""
 
-    def __init__(self, vocabulary, max_steps=1_000_000, stdout=None, stderr=None, trace=False):
+    def __init__(self, vocabulary, max_steps, stdout=None, stderr=None, trace=False):
         self.vocabulary = vocabulary
         self.max_steps = max_steps
         self.steps = 0
@@ -608,25 +608,10 @@ class Interpreter:
             return _plain_datum(obj, "reduce")
 
     def force_datum(self, th):
-        """`self.dataize(th.force(self))` without dataize's frame, running an
-        unrun atom application here as deep_reduce and run_cached would."""
+        """`self.dataize(th.force(self))` without dataize's frame."""
         obj = th.obj
         if obj is _UNSET:
             obj = th.force(self)
-        if type(obj) is AtomApp and obj.result is _UNSET and not obj.running and self.steps + 2 <= self.max_steps:
-            self.steps += 2  # 1.01x loop, 1.02x recursion
-            if self.trace:
-                self.trace_step(obj)
-            obj.running = True
-            self.depth += 1
-            try:
-                result = obj.fn(self, obj.bound, obj.args)
-            finally:
-                self.depth -= 1
-                obj.running = False
-            obj.result = result
-            obj.args = obj.bound = None
-            obj = result
         r = self.deep_reduce(obj)
         return r if type(r) in _EXACT_DATA else self._read_datum(r, False)
 

@@ -64,7 +64,7 @@ class Window:
 class HeapStore(NativeObject):
     label = "heap"
 
-    def __init__(self, capacity=1 << 20):
+    def __init__(self, capacity):
         if not isinstance(capacity, int) or capacity > MAX_CAPACITY:
             raise EvalFault("heap-config", f"heap capacity must be an int of at most {MAX_CAPACITY} bytes, got {capacity!r}")
         if capacity < 16:
@@ -275,7 +275,8 @@ def block_write(view, value):
                 "oversize-string",
                 f"string of {len(data)} bytes does not fit a {view.length}-byte block",
             )
-        data = data + b"\x00" * (view.length - len(data))
+        view.pointer.store._translate(view.address, view.length)  # fault before the padding is made
+        data += bytes(view.length - len(data))
     elif isinstance(value, bytes):
         if len(value) != view.length:
             raise EvalFault(

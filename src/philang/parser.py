@@ -156,6 +156,13 @@ def _bind(sink, name, term, const, line):
     sink[name] = (name, term, const)
 
 
+def _check_params(params, bindings, file):
+    """Fault on a binding named like a parameter, which could never be read."""
+    for p in params:
+        if p in bindings:
+            raise SyntaxFault(f"binding {p} has a parameter's name", file, bindings[p][1].span.first)
+
+
 def _read_lines(text, file):
     """Returns (metas, lines): the `+import` lines as MetaImport terms and
     every other non-blank, non-comment line lexed."""
@@ -351,6 +358,7 @@ class _Line:
                     self.fail("a formation's inline group must bind a name (expr > name)")
                 _bind(bindings, name, inner, const, self)
                 self.close_group()
+            _check_params(params, bindings, span.file)
             term = Formation(params, variadic, list(bindings.values()), span=span)
         elif kind == "lparen":
             self.open_group()
@@ -444,6 +452,7 @@ def _parse_block(line, file, sink):
             if bname is None:
                 child.fail("a formation body line must bind a name (expr > name)")
             _bind(bindings, bname, bterm, bconst, child)
+        _check_params(term.params, bindings, file)
         term.bindings = list(bindings.values())
     else:
         # application head: children are further arguments

@@ -79,10 +79,11 @@ class Formation(Term):
     The run time looks attributes up through a binding index: name ->
     (term, const_flag, earlier), where earlier counts the `.block` bindings
     declared before it, the first entries of `blocks`, the formation's one
-    ordered list of its `.block` bindings. A parameter maps to None, so it
-    shadows a binding of its name; otherwise the first binding of a name
-    wins. Both are built on the first lookup, and rebuilt from `bindings`
-    after `attach_source` appends one and drops the index.
+    ordered list of its `.block` bindings. A parameter maps to None. The
+    parser binds no name twice and none named like a parameter; only the
+    `source` that `attach_source` appends can follow a parameter `source`,
+    which keeps its place. Both are built on the first lookup, and rebuilt
+    from `bindings` after `attach_source` appends one and drops the index.
     """
 
     __slots__ = ("params", "variadic", "bindings", "name", "_index", "blocks")

@@ -436,11 +436,14 @@ def test_cage_read_before_write():
         ('"abc".starts "#"', False),
         ("9.7.as-int", 9),
         ("-9.7.as-int", -9),
+        ("5.as-int", 5),
+        ("1.5.div 2", 0.75),
     ],
 )
 def test_data_ops(expr, expected):
     _out, value = run_src(expr + "\n")
     assert value == expected
+    assert type(value) is type(expected)
 
 
 def test_float_promotion():
@@ -476,6 +479,10 @@ def test_sprintf():
     assert value == "8-x"
     _out, value = run_src('sprintf "%d\\n" 8\n')
     assert value == "8\n"
+    _out, value = run_src('sprintf "100%%"\n')
+    assert value == "100%"
+    _out, value = run_src('sprintf "%f" 1.5\n')
+    assert value == "1.500000"
 
 
 def test_sprintf_bad_format():

@@ -1,12 +1,16 @@
+import cProfile
 import enum
+import os
+import pstats
 
 import pytest
 
-from philang.core import Closure, NativeObject, snapshot
+from philang.core import Closure, Interpreter, NativeObject, snapshot
 from philang.errors import EvalFault
 from philang.runtime import run_text
 
 from conftest import fault_kind, make_program, resolve, run_src
+from test_step_parity import STRESS
 
 
 def test_resolve_through_decoratee():
@@ -57,6 +61,11 @@ def test_apply_binds_positionally():
     src = "[a b] > pair\n  a.sub b > @\npair 10 4\n"
     _out, value = run_src(src)
     assert value == 6
+
+
+def test_a_copy_of_a_copy_binds_the_next_parameter():
+    _out, value = run_src("[a b] > pair\n  a.sub b > @\n(pair 7) 2\n")
+    assert value == 5
 
 
 def test_apply_zero_args_identity():
@@ -332,3 +341,22 @@ def test_int_subclass_from_outside_is_a_plain_datum(src, want):
     _out, _err, value = run_text(src, extra_builtins=extra)
     assert value == want
     assert type(value) is type(want)
+
+
+@pytest.mark.parametrize("name", ["loop-20", "heap-30", "recursion-20"])
+def test_every_atom_application_runs_in_run_cached(name):
+    # the argument reads of atoms (force_datum) run an unrun application
+    # through deep_reduce and run_cached too, so no runner has another caller
+    text, steps, value = STRESS[name]
+    program, _out, _err = make_program(text)
+    profile = cProfile.Profile()
+    assert profile.runcall(program.run) == value
+    assert program.interp.steps == steps
+    stats = pstats.Stats(profile).stats
+    code = Interpreter.run_cached.__code__
+    run_cached = (code.co_filename, code.co_firstlineno, code.co_name)
+    runners = {key: entry[4] for key, entry in stats.items()
+               if os.path.basename(key[0]) == "atoms.py" and (key[2].startswith("_run_") or key[2] == "run")}
+    assert len(runners) >= 5
+    for key, callers in runners.items():
+        assert set(callers) == {run_cached}, key

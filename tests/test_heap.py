@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -198,6 +199,48 @@ def test_oversize_string_write():
     with pytest.raises(EvalFault) as e:
         block_write(view, "too long for four")
     assert e.value.kind == "oversize-string"
+
+
+def test_block_write_checks_the_range_before_padding():
+    # a 64 MiB block over 8 bytes: the write faults before it makes the
+    # 64 MiB of zeros that would pad "hi"
+    src = """\
+[v] > text
+  v.as-string > @
+[] > main
+  seq > @
+    ((heap.malloc 8).pointer 0 8).block 67108864 text > x
+    x.write "hi"
+"""
+    program, _out, _err = make_program(src)
+    tracemalloc.start()
+    try:
+        with pytest.raises(EvalFault) as e:
+            program.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(e.value) == "unmapped-address: address 0 is not mapped into the heap"
+    assert peak < 1 << 20
+
+
+def test_bytes_datum_written_into_a_block():
+    # x reads as its raw bytes, which y takes as they are
+    src = """\
+[v] > int64
+  v.as-int > @
+[] > main
+  seq > @
+    heap.malloc 8 > a
+    heap.malloc 8 > b
+    (a.pointer 0 8).block 8 [v] (v > @) > x
+    (b.pointer 0 8).block 8 int64 > y
+    x.write 42
+    y.write x
+    y
+"""
+    _out, value = run_src(src)
+    assert value == 42
 
 
 def test_out_of_bounds_block_access():

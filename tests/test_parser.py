@@ -296,6 +296,27 @@ def test_inline_group_rebinding_its_own_hoisted_name_rejected():
 @pytest.mark.parametrize(
     "src, message",
     [
+        ("[x] > f\n  1 > x\n  x > @\n", "p.phi:1: binding x has a parameter's name"),
+        ("[x] > f\n  seq > @\n    (x.add 1) > x\n    x\n", "p.phi:2: binding x has a parameter's name"),
+        ("[x] ((x.add 1) > x) > f\n", "p.phi:0: binding x has a parameter's name"),
+    ],
+    ids=["body", "hoisted", "inline-group"],
+)
+def test_binding_named_like_a_parameter_rejected(src, message):
+    # the parameter would hide the binding, so it could never be read
+    with pytest.raises(SyntaxFault) as e:
+        parse_program(src, "p.phi")
+    assert str(e.value) == message
+
+
+def test_parameter_may_share_a_name_with_an_outer_binding():
+    _out, value = run_src("[] > g\n  1 > x\n  [x] > f\n    x.add 1 > @\n  f 5 > @\ng\n")
+    assert value == 6
+
+
+@pytest.mark.parametrize(
+    "src, message",
+    [
         # a bad meta line anywhere wins over a fault on an earlier line
         ('f "oops\n+alias foo\n', "m.phi:1: unsupported meta line '+alias foo'"),
         ("[] > f\n\tg > h\n  +alias foo\n", "m.phi:2: unsupported meta line '+alias foo'"),
@@ -361,7 +382,7 @@ def test_binding_index_counts_the_block_fields_before_each_entry():
     src = "[ptr] > rec\n  ptr.block 8 x > a\n  1 > b\n  ptr.block 8 x > c!\n  2 > d\n"
     ((_name, _const, rec),) = parse_entries(src, "r.phi")
     index = dict(rec.index())
-    assert index.pop("ptr") is None  # a parameter shadows a binding of its name
+    assert index.pop("ptr") is None  # a parameter maps to None
     assert {name: entry[2] for name, entry in index.items()} == {"a": 0, "b": 1, "c": 1, "d": 2}
     assert [(name, const) for name, _term, const in rec.blocks] == [("a", False), ("c", True)]
 
