@@ -25,8 +25,8 @@ specialized for speed without moving a step: evaluate, apply and
 deep_reduce branch on the exact type of their subject, common cases
 first, and count their step inline instead of calling tick(). Every read
 of a closure's attribute gets its thunk from Closure.attr_thunk; lookup
-reads one already made without the call. The paths that programs seldom
-take (soft_resolve, the special names, the home walk) are written plainly.
+reads one already made in Closure.attrs itself. Paths that programs
+seldom take (soft_resolve, special names, the home walk) are plain.
 run_cached calls trace_step even when tracing is off, so the traced
 benchmark can count its misses.
 
@@ -45,8 +45,8 @@ takes the same frames and steps. Each copy kept for speed states its
 gain: perfbench steps_per_s with it over without it, median of
 alternating pairs. The step path has no comprehension: before Python
 3.12 (PEP 709) each one builds a function and a frame, so thunk lists
-are `list(map(Thunk, args, repeat(owner)))` and deep_reduce lists a
-closure's unbound parameters only to fault.
+are `list(map(Thunk, args, repeat(owner)))` and deep_reduce looks for a
+closure's unbound parameters with a plain loop.
 """
 
 import sys
@@ -141,15 +141,16 @@ class Thunk:
 
 
 class Closure:
-    """A formation instance: the unit of decoration, copying and scope."""
+    """A formation instance: the unit of decoration, copying and scope.
+    `attrs` maps each bound parameter to its argument and each binding read
+    so far to its thunk. A copy keeps the parameters, not the binding thunks."""
 
-    __slots__ = ("term", "lexical", "bound", "_attrs", "_reduced", "_reducing")
+    __slots__ = ("term", "lexical", "attrs", "_reduced", "_reducing")
 
-    def __init__(self, term, lexical, bound=None):
+    def __init__(self, term, lexical, attrs=None):
         self.term = term
         self.lexical = lexical
-        self.bound = bound or {}
-        self._attrs = {}
+        self.attrs = {} if attrs is None else attrs
         self._reduced = _UNSET
         self._reducing = False
 
@@ -164,7 +165,7 @@ class Closure:
         thunk, it runs the `.block` bindings declared before it, in order,
         making theirs here too, each with its own `!` flag, so a record's
         fields pack in declaration order whichever is read first."""
-        th = self.bound.get(name) or self._attrs.get(name)
+        th = self.attrs.get(name)
         if th is None:
             term = self.term
             found = (term._index or term.index()).get(name, _MISS)
@@ -174,33 +175,34 @@ class Closure:
                 raise EvalFault("partial-application", f"parameter {name!r} of {self.label()} was never bound")
             if found[2]:
                 for bname, bterm, bconst in term.blocks[: found[2]]:
-                    block = self._attrs.get(bname)
+                    block = self.attrs.get(bname)
                     if block is None:
-                        block = self._attrs[bname] = Thunk(bterm, self, bconst)
+                        block = self.attrs[bname] = Thunk(bterm, self, bconst)
                     interp.deep_reduce(block.force(interp))
-            th = self._attrs[name] = Thunk(found[0], self, found[1])
+            th = self.attrs[name] = Thunk(found[0], self, found[1])
         return th
 
-    def copy_with(self, arg_thunks, interp):
+    def copy_with(self, arg_thunks):
         params = self.term.params
-        new_bound = dict(self.bound)
+        new = {}
         args = list(arg_thunks)
         for p in params:
-            if p in self.bound:
-                continue
-            if self.term.variadic and p == params[-1]:
-                new_bound[p] = Thunk.of(atoms.ArrayObject(args))
+            th = self.attrs.get(p)
+            if th is not None:
+                new[p] = th
+            elif self.term.variadic and p == params[-1]:
+                new[p] = Thunk.of(atoms.ArrayObject(args))
                 args = []
+            elif args:
+                new[p] = args.pop(0)
+            else:
                 break
-            if not args:
-                break
-            new_bound[p] = args.pop(0)
         if args:
             raise EvalFault(
                 "too-many-arguments",
                 f"{self.label()} takes {len(params)} argument(s); extra arguments supplied",
             )
-        return Closure(self.term, self.lexical, new_bound)
+        return Closure(self.term, self.lexical, new)
 
     def __repr__(self):
         return f"<object {self.label()}>"
@@ -403,8 +405,8 @@ class Interpreter:
             return self.special(ident, owner, bare=True)
         node = owner
         while node is not None:
-            # attr_thunk and Thunk.force inline, but for making a thunk: 1.05x loop, 1.06x recursion
-            th = node.bound.get(ident) or node._attrs.get(ident)
+            # attrs.get and Thunk.force inline; attr_thunk only makes a thunk: 1.05x loop, 1.06x recursion
+            th = node.attrs.get(ident)
             if th is None:
                 term = node.term
                 if ident not in (term._index or term.index()):
@@ -522,7 +524,7 @@ class Interpreter:
             raise BudgetExceeded(self.max_steps)
         t = type(obj)
         if t is Closure:
-            return obj.copy_with(arg_thunks, self)
+            return obj.copy_with(arg_thunks)
         if t is AtomFn:
             return AtomApp(obj.name, obj.fn, obj.bound, list(arg_thunks))
         if t is AtomApp:
@@ -584,12 +586,12 @@ class Interpreter:
                         "circular-reduction",
                         f"{obj.label()} decorates its own reduction",
                     )
-                if len(obj.bound) != len(obj.term.params):  # bound keys are params
-                    missing = [p for p in obj.term.params if p not in obj.bound]
-                    raise EvalFault(
-                        "partial-application",
-                        f"{obj.label()} dataized with unbound parameter(s): {', '.join(missing)}",
-                    )
+                for p in obj.term.params:
+                    if p not in obj.attrs:
+                        missing = ", ".join(q for q in obj.term.params if q not in obj.attrs)
+                        raise EvalFault(
+                            "partial-application", f"{obj.label()} dataized with unbound parameter(s): {missing}"
+                        )
                 if self.trace:
                     self.trace_step(obj)
                 obj._reducing = True
@@ -655,8 +657,7 @@ class Interpreter:
 def snapshot(obj):
     """Shallow copy: the attribute map is duplicated at this moment."""
     if isinstance(obj, Closure):
-        twin = Closure(obj.term, obj.lexical, dict(obj.bound))
-        twin._attrs = dict(obj._attrs)
+        twin = Closure(obj.term, obj.lexical, dict(obj.attrs))
         twin._reduced = obj._reduced
         return twin
     return obj

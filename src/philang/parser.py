@@ -519,16 +519,16 @@ def parse_entries(text, file="<input>"):
 def attach_source(term, warn=None):
     """Give every formation a synthetic `source` attribute with its span.
 
-    A user-supplied `source` binding wins; the synthetic one is suppressed
-    and `warn` (if given) is called with a message. Formations are visited
-    in post-order (inner ones first, siblings in source order) with an
-    explicit stack, so no nesting depth reaches Python's recursion limit.
+    A user's `source`, binding or parameter, wins: the synthetic one is
+    suppressed and `warn` (if given) is called with a message. Formations
+    are visited in post-order (inner ones first, siblings in source order)
+    with an explicit stack, so no nesting depth reaches the recursion limit.
     """
     stack = [(term, False)]
     while stack:
         node, children_done = stack.pop()
         if children_done:
-            if node.binding("source") is not None:
+            if "source" in node.index():  # a parameter or a binding
                 if warn:
                     warn(
                         f"{node.span}: formation already binds 'source'; "

@@ -92,11 +92,10 @@ class Program:
             if name is not None:
                 bindings.append((name, term, const))
             last = max(last, term.span.last)
-        self.root = Closure(Formation([], False, bindings, name="Q", span=SourceSpan(file, 0, last)), None)
-        self.interp.root = self.root
+        self.interp.root = Closure(Formation([], False, bindings, name="Q", span=SourceSpan(file, 0, last)), None)
 
     def entry_target(self):
-        names = self.root.term.index()  # the named entries; evaluating the target reads it too
+        names = self.interp.root.term.index()  # the named entries; evaluating the target reads it too
         for name in ("main", "app"):
             if name in names:
                 return Name(name)
@@ -110,7 +109,7 @@ class Program:
         target = self.entry_target()
         limit = _raise_recursion_limit()
         try:
-            return self.interp.dataize(self.interp.evaluate(target, self.root), abstract=True)
+            return self.interp.dataize(self.interp.evaluate(target, self.interp.root), abstract=True)
         except Signal as s:
             raise EvalFault("escaping-signal", f"a {s.kind} signal escaped the program root") from None
         except RecursionError:

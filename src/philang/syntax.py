@@ -79,11 +79,11 @@ class Formation(Term):
     The run time looks attributes up through a binding index: name ->
     (term, const_flag, earlier), where earlier counts the `.block` bindings
     declared before it, the first entries of `blocks`, the formation's one
-    ordered list of its `.block` bindings. A parameter maps to None. The
-    parser binds no name twice and none named like a parameter; only the
-    `source` that `attach_source` appends can follow a parameter `source`,
-    which keeps its place. Both are built on the first lookup, and rebuilt
-    from `bindings` after `attach_source` appends one and drops the index.
+    ordered list of its `.block` bindings. A parameter maps to None. No name
+    binds twice, and none is both a parameter and a binding (the parser
+    rejects both, and `attach_source` appends no `source` then). Both are
+    built on the first lookup, and rebuilt from `bindings` after
+    `attach_source` appends one and drops the index.
     """
 
     __slots__ = ("params", "variadic", "bindings", "name", "_index", "blocks")
@@ -105,14 +105,13 @@ class Formation(Term):
             blocks = self.blocks = []
             for binding in self.bindings:
                 bname, bterm, bconst = binding
-                if bname not in index:
-                    index[bname] = (bterm, bconst, len(blocks))
-                    if (
-                        type(bterm) is Application
-                        and type(bterm.head) is Dispatch
-                        and bterm.head.attr == "block"
-                    ):
-                        blocks.append(binding)
+                index[bname] = (bterm, bconst, len(blocks))
+                if (
+                    type(bterm) is Application
+                    and type(bterm.head) is Dispatch
+                    and bterm.head.attr == "block"
+                ):
+                    blocks.append(binding)
             self._index = index
         return index
 

@@ -1,15 +1,18 @@
 import cProfile
 import enum
+import io
 import os
 import pstats
 
 import pytest
 
-from philang.core import Closure, Interpreter, NativeObject, snapshot
-from philang.errors import EvalFault
-from philang.runtime import run_text
+import philang
+from philang.core import _MISS, _SPECIAL, Closure, Interpreter, NativeObject, Thunk, snapshot
+from philang.errors import EvalFault, PhilangError
+from philang.runtime import DEFAULT_MAX_STEPS, Program, run_text
 
 from conftest import fault_kind, make_program, resolve, run_src
+from test_perfbench_smoke import workloads
 from test_step_parity import STRESS
 
 
@@ -360,3 +363,120 @@ def test_every_atom_application_runs_in_run_cached(name):
     assert len(runners) >= 5
     for key, callers in runners.items():
         assert set(callers) == {run_cached}, key
+
+
+# -- one attribute map per closure: parameters and bindings share `attrs` -----
+
+_COPIED = "[a b] > f\n  memory > m\n  a.add b > @\nf 1 > g\n[] > main\n  seq > @\n    g.m.write 5\n    g.m\n"
+
+
+def test_a_copy_keeps_the_bound_parameters_but_not_the_binding_thunks():
+    program, _out, _err = make_program(_COPIED)
+    assert program.run() == 5
+    interp = program.interp
+    g = interp.lookup("g", interp.root)
+    assert interp.dataize(resolve(interp, g, "m")) == 5
+    assert interp.dataize(interp.apply(g, [Thunk.of(2)])) == 3
+    with pytest.raises(EvalFault) as e:  # (g 2).m is a cell of its own, never written
+        interp.dataize(resolve(interp, interp.apply(g, [Thunk.of(2)]), "m"))
+    assert fault_kind(e) == "memory-unset"
+
+
+def test_a_snapshot_of_a_copy_keeps_its_bound_parameter_and_its_binding_thunks():
+    program, _out, _err = make_program(_COPIED)
+    assert program.run() == 5
+    interp = program.interp
+    g = interp.lookup("g", interp.root)
+    twin = snapshot(g)
+    assert resolve(interp, twin, "m") is resolve(interp, g, "m")
+    assert interp.dataize(resolve(interp, twin, "m")) == 5
+    assert interp.dataize(interp.apply(twin, [Thunk.of(2)])) == 3
+
+
+@pytest.mark.parametrize("entry, unbound", [("f 1", "b, c"), ("f", "a, b, c")])
+def test_dataizing_a_partial_copy_lists_its_unbound_parameters(entry, unbound):
+    with pytest.raises(EvalFault) as e:
+        run_src(f"[a b c] > f\n  a > @\n{entry}\n")
+    assert str(e.value) == f"partial-application: f dataized with unbound parameter(s): {unbound}"
+
+
+@pytest.mark.parametrize("entry, want", [("f 5", 5), ("(f 5).source", 5)])
+def test_a_parameter_named_source_suppresses_the_synthetic_one_with_a_warning(entry, want):
+    program, _out, err = make_program(f"[source] > f\n  source > @\n{entry}\n", file="t.phi", traceability=True)
+    assert program.run() == want
+    assert err.getvalue() == b"warning: t.phi:0-1: formation already binds 'source'; synthetic location attribute suppressed\n"
+    f = program.interp.lookup("f", program.interp.root)
+    assert [name for name, _term, _const in f.term.bindings] == ["@"]
+
+
+# `c` is read by bare name before `a`, but `a` is declared first, so it packs
+# at offset 0: the read at offset 0 is 5, not c's 7
+_RECORD_BY_NAME = """\
+[v] > int64
+  v.as-int > @
+[ptr] > rec
+  seq > @
+    c.write 7
+    a.write 5
+  ptr.block 8 int64 > a
+  ptr.block 8 int64 > c
+[] > main
+  heap.malloc 16 > m
+  seq > @
+    rec (m.pointer 0 8)
+    (m.pointer 0 8).block 8 int64
+"""
+
+
+def test_record_fields_read_by_bare_name_pack_in_declaration_order():
+    _out, value = run_src(_RECORD_BY_NAME)
+    assert value == 5
+
+
+class PlainLookup(Interpreter):
+    """`lookup` along the general path only, the executable spec of the
+    inline read in Interpreter.lookup: attr_thunk then Thunk.force in each
+    scope, and the vocabulary last."""
+
+    def lookup(self, ident, owner):
+        if ident in _SPECIAL:
+            return self.special(ident, owner, bare=True)
+        node = owner
+        while node is not None:
+            th = node.attr_thunk(ident, self)
+            if th is not None:
+                return th.force(self)
+            node = node.lexical
+        made = self.vocabulary.native_attr(self, ident)
+        if made is not _MISS:
+            return made
+        raise EvalFault("unknown-name", f"nothing named {ident!r} is in scope")
+
+
+def _twin_outcome(text, file, budget, plain):
+    program = Program(text, file=file, max_steps=budget, stdout=io.BytesIO(), stderr=io.BytesIO())
+    if plain:
+        program.interp.__class__ = PlainLookup
+    try:
+        result = ("value", repr(program.run()))
+    except PhilangError as e:
+        result = (type(e).__name__, str(e))
+    return result, program.interp.steps, program.interp.stdout.getvalue()
+
+
+def _twin_cases():
+    """(id, text, file, default budget): every corpus entry and each
+    workload's small op, the STRESS programs and the bare-name record."""
+    ops = [op for _make, small in workloads.WORKLOADS.values() for op in small(philang)]
+    cases = [(op.id, op.text, op.file, op.max_steps) for op in ops]
+    cases += [(name, text, name + ".phi", DEFAULT_MAX_STEPS) for name, (text, _s, _v) in sorted(STRESS.items())]
+    return cases + [("record-by-name", _RECORD_BY_NAME, "record.phi", DEFAULT_MAX_STEPS)]
+
+
+def test_lookup_agrees_with_the_general_path_at_every_budget():
+    cases = _twin_cases()
+    assert len(cases) >= 27 + 3 + 3 + 1
+    for case_id, text, file, default in cases:
+        for budget in [default, *range(1, 21)]:
+            fast = _twin_outcome(text, file, budget, plain=False)
+            assert _twin_outcome(text, file, budget, plain=True) == fast, f"{case_id} at budget {budget}"
