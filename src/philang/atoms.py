@@ -12,6 +12,8 @@ passes on to its content.
 """
 
 import math
+import operator
+import re
 
 from . import heap as heapmod
 from .core import (
@@ -51,15 +53,12 @@ def _arity(args, n, what):
 class JumpToken(NativeObject):
     """Identity-bearing capability handed into a goto or try scope."""
 
-    __slots__ = ("kind", "alive")
+    __slots__ = ("kind", "alive", "label")
 
     def __init__(self, kind):
         self.kind = kind
         self.alive = True
-
-    @property
-    def label(self):
-        return f"{self.kind}-token"
+        self.label = f"{kind}-token"
 
     def native_attr(self, interp, name):
         if self.kind == "goto" and name in ("forward", "backward"):
@@ -87,16 +86,13 @@ class JumpToken(NativeObject):
 class Raiser(NativeObject):
     """Reducing this raises the token's signal; applying it adds a payload."""
 
-    __slots__ = ("token", "kind", "payload_thunk")
+    __slots__ = ("token", "kind", "payload_thunk", "label")
 
     def __init__(self, token, kind, payload_thunk):
         self.token = token
         self.kind = kind
         self.payload_thunk = payload_thunk
-
-    @property
-    def label(self):
-        return f"{self.kind}-signal"
+        self.label = f"{kind}-signal"
 
     def native_apply(self, interp, arg_thunks):
         if self.payload_thunk is not None:
@@ -160,11 +156,19 @@ def _run_while(interp, cond_thunk, args):
         index += 1
 
 
+def _scopes(interp, args, atom, *roles):
+    """The first len(roles) arguments of a goto or try, each forced before
+    any is checked to be a one-parameter object."""
+    scopes = [th.force(interp) for th in args[: len(roles)]]
+    for scope, role in zip(scopes, roles):
+        if not isinstance(scope, Closure) or len(scope.term.params) != 1:
+            raise EvalFault("bad-scope", f"{atom} expects a one-parameter {role}object")
+    return scopes
+
+
 def _run_goto(interp, _bound, args):
     _arity(args, 1, "goto")
-    scope = args[0].force(interp)
-    if not isinstance(scope, Closure) or len(scope.term.params) != 1:
-        raise EvalFault("bad-scope", "goto expects a one-parameter object")
+    (scope,) = _scopes(interp, args, "goto", "")
     token = JumpToken("goto")
     try:
         while True:
@@ -184,12 +188,7 @@ def _run_goto(interp, _bound, args):
 
 def _run_try(interp, _bound, args):
     _arity(args, 3, "try")
-    body = args[0].force(interp)
-    catch = args[1].force(interp)
-    if not isinstance(body, Closure) or len(body.term.params) != 1:
-        raise EvalFault("bad-scope", "try expects a one-parameter body object")
-    if not isinstance(catch, Closure) or len(catch.term.params) != 1:
-        raise EvalFault("bad-scope", "try expects a one-parameter catch object")
+    body, catch = _scopes(interp, args, "try", "body ", "catch ")
     token = JumpToken("try")
     try:
         try:
@@ -344,33 +343,34 @@ def _not_a_number(op, b):
     return EvalFault("type-error", f"{op} needs a number, got {b!r}")
 
 
+def _div(a, b):
+    """a divided by b, an int quotient truncated toward zero when both are ints."""
+    if b == 0:
+        raise EvalFault("division-by-zero", f"{a} divided by zero")
+    if type(a) is int and type(b) is int:
+        r = abs(a) // abs(b)
+        return -r if (a < 0) != (b < 0) else r
+    return a / b
+
+
+_NUMBER_FNS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _div,
+               "less": operator.lt, "greater": operator.gt}
+
+
 # The receiver `a` of arithmetic and comparison is an exact int or float
 # (the core binds these runners to nothing else), and the argument `b`, read
-# by force_datum, is of an exact data type.
+# by force_datum, is of an exact data type. A result with a float in it is a
+# float, and a comparison's is a bool, so only an int result is range-checked.
 def _run_arith(op):
+    fn = _NUMBER_FNS[op]
+
     def run(interp, a, args):
         _arity(args, 1, op)
         b = interp.force_datum(args[0])
         if type(b) is not int and type(b) is not float:
             raise _not_a_number(op, b)
-        if op == "add":
-            r = a + b
-        elif op == "sub":
-            r = a - b
-        elif op == "mul":
-            r = a * b
-        else:  # div
-            if b == 0:
-                raise EvalFault("division-by-zero", f"{a} divided by zero")
-            if type(a) is int and type(b) is int:
-                r = abs(a) // abs(b)
-                if (a < 0) != (b < 0):
-                    r = -r
-            else:
-                r = a / b
-        if type(a) is int and type(b) is int:
-            return r if INT64_MIN <= r <= INT64_MAX else _check_int64(r)
-        return float(r)
+        r = fn(a, b)
+        return r if type(r) is not int or INT64_MIN <= r <= INT64_MAX else _check_int64(r)
 
     return run
 
@@ -383,17 +383,6 @@ def _run_eq(interp, left, args):
     if isinstance(left, (int, float)) and isinstance(right, (int, float)):
         return left == right
     return type(left) is type(right) and left == right
-
-
-def _run_cmp(op):
-    def run(interp, a, args):
-        _arity(args, 1, op)
-        b = interp.force_datum(args[0])
-        if type(b) is not int and type(b) is not float:
-            raise _not_a_number(op, b)
-        return a < b if op == "less" else a > b
-
-    return run
 
 
 def _run_as_string(interp, left, args):
@@ -435,14 +424,11 @@ def data_attr(value, name):
 class DataHome(NativeObject):
     """Built-in home of data literals; answers subtype-of with the type name."""
 
-    __slots__ = ("type_name",)
+    __slots__ = ("type_name", "label")
 
     def __init__(self, type_name):
         self.type_name = type_name
-
-    @property
-    def label(self):
-        return f"{self.type_name}-home"
+        self.label = f"{type_name}-home"
 
 
 def _run_subtype(interp, home, args):
@@ -470,41 +456,39 @@ def _run_stdout(interp, _bound, args):
     return True
 
 
+# a `%` and the verb after it, none at the end of the format
+_VERB = re.compile("%(.?)", re.DOTALL)
+
+
 def _run_sprintf(interp, _bound, args):
     fmt = interp.force_datum(args[0])
     if not isinstance(fmt, str):
         raise EvalFault("bad-format", f"sprintf format must be a string, got {fmt!r}")
     rest = list(args[1:])
-    out = []
-    i = 0
-    while i < len(fmt):
-        c = fmt[i]
-        if c != "%":
-            out.append(c)
-            i += 1
-            continue
-        if i + 1 >= len(fmt):
-            raise EvalFault("bad-format", "dangling % at end of format string")
-        verb = fmt[i + 1]
-        i += 2
+    parts = _VERB.split(fmt)  # text, then each verb and the text after it
+    out = [parts[0]]
+    for verb, text in zip(parts[1::2], parts[2::2]):
         if verb == "%":
             out.append("%")
-            continue
-        if not rest:
+        elif not verb:
+            raise EvalFault("bad-format", "dangling % at end of format string")
+        elif not rest:
             raise EvalFault("bad-format", f"no argument left for %{verb}")
-        value = interp.force_datum(rest.pop(0))
-        if verb == "d":
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise EvalFault("bad-format", f"%d needs an integer, got {value!r}")
-            out.append(str(value))
-        elif verb == "s":
-            out.append(to_text(value))
-        elif verb == "f":
-            if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise EvalFault("bad-format", f"%f needs a number, got {value!r}")
-            out.append(f"{float(value):f}")
         else:
-            raise EvalFault("bad-format", f"unsupported verb %{verb}")
+            value = interp.force_datum(rest.pop(0))
+            if verb == "d":
+                if isinstance(value, bool) or not isinstance(value, int):
+                    raise EvalFault("bad-format", f"%d needs an integer, got {value!r}")
+                out.append(str(value))
+            elif verb == "s":
+                out.append(to_text(value))
+            elif verb == "f":
+                if isinstance(value, bool) or not isinstance(value, (int, float)):
+                    raise EvalFault("bad-format", f"%f needs a number, got {value!r}")
+                out.append(f"{float(value):f}")
+            else:
+                raise EvalFault("bad-format", f"unsupported verb %{verb}")
+        out.append(text)
     if rest:
         raise EvalFault("bad-format", f"{len(rest)} sprintf argument(s) left over")
     return "".join(out)
@@ -588,8 +572,7 @@ def _run_block_write(interp, block, args):
 # receiver, as (label, runner): soft_resolve makes an AtomFn of it, and
 # Interpreter.evaluate builds the application of `r.op args` from it in
 # place.
-_NUMBER_OPS = {"eq": ("eq", _run_eq), **{op: (op, _run_arith(op)) for op in ("add", "sub", "mul", "div")},
-               **{op: (op, _run_cmp(op)) for op in ("less", "greater")}}
+_NUMBER_OPS = {"eq": ("eq", _run_eq), **{op: (op, _run_arith(op)) for op in _NUMBER_FNS}}
 OPS = {
     int: _NUMBER_OPS,
     float: _NUMBER_OPS,
@@ -616,15 +599,11 @@ class Namespace(NativeObject):
     """A node of the global vocabulary. A child that is a class is
     instantiated on every mention, so each `memory` or `cage` is a new cell."""
 
-    __slots__ = ("path", "children")
+    __slots__ = ("label", "children")
 
-    def __init__(self, path, children):
-        self.path = path
+    def __init__(self, label, children):
+        self.label = label  # its dotted path
         self.children = children
-
-    @property
-    def label(self):
-        return self.path
 
     def native_attr(self, interp, name):
         child = self.children.get(name, _MISS)

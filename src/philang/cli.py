@@ -7,6 +7,7 @@ traces go to stderr.
 
 import argparse
 import fnmatch
+import os
 import sys
 
 from . import corpus as corpus_mod
@@ -54,7 +55,7 @@ def _run_file(args):
 def _execute(text, file, args, traceability, print_value):
     """Run `text` under the budget, heap size and trace flag of `args`."""
     try:
-        value = Program(
+        program = Program(
             text,
             file=file,
             max_steps=args.max_steps,
@@ -63,18 +64,18 @@ def _execute(text, file, args, traceability, print_value):
             traceability=traceability,
             stdout=sys.stdout.buffer,
             stderr=sys.stderr.buffer,
-        ).run()
-        if print_value and value is not None:
-            sys.stdout.write((to_text(value) if is_datum(value) else repr(value)) + "\n")
+        )
+        value = program.run()
+        if print_value and value is not None:  # written as the program writes: a failing stdout is a fault
+            program.interp.emit(program.interp.stdout, (to_text(value) if is_datum(value) else repr(value)) + "\n")
     except SyntaxFault as exc:
         sys.stderr.write(f"parse error: {exc}\n")
         return 2
-    except BudgetExceeded as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 3
-    except EvalFault as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 1
+    except (BudgetExceeded, EvalFault) as exc:
+        sys.stderr.write(f"error: {exc}\n" + "".join(f"  at {place}\n" for place in exc.frames))
+        if getattr(exc, "kind", None) == "output-failed":  # so Python's flush of stdout at exit cannot fail again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 3 if isinstance(exc, BudgetExceeded) else 1
     return 0
 
 
@@ -86,13 +87,9 @@ def _run_corpus(args):
     failures = 0
     for entry in entries:
         ok, reason = corpus_mod.check_entry(entry.id)
-        status = "pass" if ok else "FAIL"
-        if not ok:
-            failures += 1
-        line = f"{entry.id:<{width}}  {status}"
-        if reason:
-            line += f"  {reason}"
-        sys.stdout.write(line + "\n")
+        failures += not ok
+        line = f"{entry.id:<{width}}  {'pass' if ok else 'FAIL'}"
+        sys.stdout.write(f"{line}  {reason}\n" if reason else line + "\n")
     sys.stdout.write(f"{len(entries)} entries, {failures} failing\n")
     return 0 if failures == 0 else 1
 

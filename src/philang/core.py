@@ -229,16 +229,12 @@ class NativeObject:
 class AtomFn(NativeObject):
     """A native function; copying it (Interpreter.apply) yields an AtomApp."""
 
-    __slots__ = ("name", "fn", "bound")
+    __slots__ = ("label", "fn", "bound")
 
-    def __init__(self, name, fn, bound=None):
-        self.name = name
+    def __init__(self, label, fn, bound=None):
+        self.label = label
         self.fn = fn
         self.bound = bound
-
-    @property
-    def label(self):
-        return self.name
 
 
 class AtomApp:
@@ -302,16 +298,16 @@ class Interpreter:
     def emit(self, stream, text):
         """Write text to `stream` (self.stdout or self.stderr) and flush it. A
         `surrogateescape` byte, as from argv, is written back; any other
-        surrogate is a fault."""
+        surrogate is a fault, and so is a stream that fails."""
         try:
             data = text.encode("utf-8", "surrogateescape")
         except UnicodeEncodeError as exc:
             raise EvalFault("bad-bytes", f"text cannot be written as UTF-8: {exc}") from None
-        stream.write(data)
         try:
+            stream.write(data)
             stream.flush()
-        except (ValueError, OSError):
-            pass
+        except (ValueError, OSError) as exc:
+            raise EvalFault("output-failed", f"cannot write to the output stream: {exc}") from None
 
     def trace_step(self, obj):
         if self.trace:
@@ -507,11 +503,18 @@ class Interpreter:
         with `args` (name None). A hook asked for the same again before this
         returns would recurse without end: a circular-reduction fault."""
         key = (id(obj), id(target), name)
+        if args is None:
+            return self._guarded(key, obj, self.soft_resolve, target, name)
+        return self._guarded(key, obj, self.apply, target, args)
+
+    def _guarded(self, key, obj, fn, *args):
+        """fn(*args) for a native hook of obj, unless `key` is already being
+        passed on or read: a circular-reduction fault."""
         if key in self.passing:
             raise EvalFault("circular-reduction", f"{self.describe(obj)} loops back on itself")
         self.passing.add(key)
         try:
-            return self.soft_resolve(target, name) if args is None else self.apply(target, args)
+            return fn(*args)
         finally:
             self.passing.discard(key)
 
@@ -526,7 +529,7 @@ class Interpreter:
         if t is Closure:
             return obj.copy_with(arg_thunks)
         if t is AtomFn:
-            return AtomApp(obj.name, obj.fn, obj.bound, list(arg_thunks))
+            return AtomApp(obj.label, obj.fn, obj.bound, list(arg_thunks))
         if t is AtomApp:
             return self.apply(self.run_cached(obj), arg_thunks)
         if t not in _EXACT_DATA:
@@ -560,6 +563,26 @@ class Interpreter:
         app.result = result
         app.args = app.bound = None
         return result
+
+    def backtrace(self, tb, limit=8):
+        """The innermost `limit` distinct places in traceback `tb`, innermost
+        first: each thunk forced in a scope, as the scope and the thunk's span,
+        and each atom run, as its name and its first argument's span if any.
+        Reads the locals `self` of Thunk.force and `app` of run_cached."""
+        places = {}  # each at its innermost occurrence, outermost first
+        while tb is not None:
+            code, local, tb = tb.tb_frame.f_code, tb.tb_frame.f_locals.get, tb.tb_next
+            if code is Thunk.force.__code__ and getattr(th := local("self"), "owner", None) is not None:
+                place, term = self.describe(th.owner), th.term
+            elif code is Interpreter.run_cached.__code__ and (app := local("app")) is not None:
+                place, term = app.name, getattr(app.args[0], "term", None) if app.args else None
+            else:
+                continue
+            span = getattr(term, "span", None)
+            place = place if span is None else f"{place} ({span})"
+            places.pop(place, None)
+            places[place] = None
+        return tuple(reversed(places))[:limit]
 
     def deep_reduce(self, obj):
         """Reduce to a normal form: a datum, an abstract closure, or a
@@ -635,15 +658,8 @@ class Interpreter:
             probe = r.native_dataize(self)
             if is_datum(probe):
                 return _check_int64(probe)
-            if probe is not _MISS:
-                key = (id(r), id(probe))  # no name: never one of pass_on's keys
-                if key in self.passing:
-                    raise EvalFault("circular-reduction", f"{r.label} loops back on itself")
-                self.passing.add(key)
-                try:
-                    return self.dataize(probe, abstract)
-                finally:
-                    self.passing.discard(key)
+            if probe is not _MISS:  # a key with no name is never one of pass_on's
+                return self._guarded((id(r), id(probe)), r, self.dataize, probe, abstract)
             if not abstract:
                 raise EvalFault("missing-decoratee", f"{r.label} does not reduce to a datum")
         elif not abstract:

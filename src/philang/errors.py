@@ -12,6 +12,8 @@ INT64_MAX = (1 << 63) - 1
 class PhilangError(Exception):
     """Base class for everything this package raises on purpose."""
 
+    frames = ()  # where a fault that left Program.run happened, innermost first
+
 
 class SyntaxFault(PhilangError):
     def __init__(self, message, file=None, line=None):

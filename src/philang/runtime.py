@@ -10,7 +10,7 @@ import sys
 
 from . import atoms
 from .core import Closure, Interpreter, NativeObject, Signal
-from .errors import INT64_MAX, INT64_MIN, EvalFault, SyntaxFault
+from .errors import INT64_MAX, INT64_MIN, EvalFault, PhilangError, SyntaxFault
 from .heap import HeapStore
 from .parser import attach_source, parse_entries
 from .syntax import Formation, Name, SourceSpan
@@ -110,12 +110,17 @@ class Program:
         limit = _raise_recursion_limit()
         try:
             return self.interp.dataize(self.interp.evaluate(target, self.interp.root), abstract=True)
-        except Signal as s:
-            raise EvalFault("escaping-signal", f"a {s.kind} signal escaped the program root") from None
-        except RecursionError:
-            raise EvalFault("deep-recursion", "object nesting exceeded the interpreter stack") from None
+        except (PhilangError, Signal, RecursionError) as exc:
+            fault = exc
+            if isinstance(exc, Signal):
+                fault = EvalFault("escaping-signal", f"a {exc.kind} signal escaped the program root")
+            elif isinstance(exc, RecursionError):
+                fault = EvalFault("deep-recursion", "object nesting exceeded the interpreter stack")
+            fault.frames = self.interp.backtrace(exc.__traceback__)
+            raise fault from None
         finally:
             sys.setrecursionlimit(limit)
+
 
 
 def run_text(text, **kwargs):

@@ -790,3 +790,28 @@ def test_fault_site_kind_and_message(name):
         run_src(src)
     assert str(e.value) == message
     assert fault_kind(e) == message.split(":")[0]
+
+
+# What folding the number ops, the format scanner and the native labels must
+# keep: mixed int/float comparisons, `%%` next to verbs, and the label a
+# signal, a namespace and a global atom give in a fault.
+@pytest.mark.parametrize("expr", ["1.less 1.5", "2.5.greater 2"])
+def test_comparison_of_an_int_and_a_float_is_true(expr):
+    _out, value = run_src(expr + "\n")
+    assert value is True
+
+
+def test_sprintf_escaped_percent_next_to_verbs():
+    _out, value = run_src('sprintf "%%%d|%s" 7 "x"\n')
+    assert value == "%7|x"
+
+
+@pytest.mark.parametrize("src, message", [
+    ("[] > main\n  goto > @\n    [g]\n      g.forward.foo > @\n", "forward-signal has no attribute 'foo'"),
+    ("[] > main\n  Q.org.eolang.io.foo > @\n", "org.eolang.io has no attribute 'foo'"),
+    ("[] > main\n  seq.foo > @\n", "seq has no attribute 'foo'"),
+])
+def test_native_labels_in_faults(src, message):
+    with pytest.raises(EvalFault) as e:
+        run_src(src)
+    assert str(e.value) == "attribute-not-found: " + message

@@ -161,6 +161,11 @@ def test_eval_prints_value():
     assert out == b"7\n"
 
 
+def test_eval_of_a_namespace_prints_its_label():
+    code, out, err = cli("eval", "org.eolang")
+    assert (code, out, err) == (0, b"<org.eolang>\n", b"")
+
+
 def test_eval_runtime_error_exit_one():
     code, _out, err = cli("eval", "42.div 0")
     assert code == 1

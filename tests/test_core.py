@@ -10,10 +10,11 @@ import philang
 from philang.core import _MISS, _SPECIAL, Closure, Interpreter, NativeObject, Thunk, snapshot
 from philang.errors import EvalFault, PhilangError
 from philang.runtime import DEFAULT_MAX_STEPS, Program, run_text
+from philang.syntax import Application
 
 from conftest import fault_kind, make_program, resolve, run_src
 from test_perfbench_smoke import workloads
-from test_step_parity import STRESS
+from test_step_parity import GUARD_MISSES, STRESS
 
 
 def test_resolve_through_decoratee():
@@ -433,10 +434,19 @@ def test_record_fields_read_by_bare_name_pack_in_declaration_order():
     assert value == 5
 
 
-class PlainLookup(Interpreter):
-    """`lookup` along the general path only, the executable spec of the
-    inline read in Interpreter.lookup: attr_thunk then Thunk.force in each
-    scope, and the vocabulary last."""
+class PlainInterpreter(Interpreter):
+    """The general path only, the executable spec of every copy that
+    Interpreter keeps for speed. `evaluate` ticks, then evaluates the head of
+    an application and applies it; every other term, a dispatch's receiver
+    and soft_resolve included, takes Interpreter's own branch, which the
+    fused `recv.op args` frame sits in front of. `lookup` reads each scope
+    through attr_thunk then Thunk.force, and the vocabulary last."""
+
+    def evaluate(self, term, owner):
+        if type(term) is not Application:
+            return super().evaluate(term, owner)
+        self.tick()
+        return self.apply(self.evaluate(term.head, owner), [Thunk(arg, owner) for arg in term.args])
 
     def lookup(self, ident, owner):
         if ident in _SPECIAL:
@@ -456,7 +466,7 @@ class PlainLookup(Interpreter):
 def _twin_outcome(text, file, budget, plain):
     program = Program(text, file=file, max_steps=budget, stdout=io.BytesIO(), stderr=io.BytesIO())
     if plain:
-        program.interp.__class__ = PlainLookup
+        program.interp.__class__ = PlainInterpreter
     try:
         result = ("value", repr(program.run()))
     except PhilangError as e:
@@ -466,17 +476,19 @@ def _twin_outcome(text, file, budget, plain):
 
 def _twin_cases():
     """(id, text, file, default budget): every corpus entry and each
-    workload's small op, the STRESS programs and the bare-name record."""
+    workload's small op, the STRESS and GUARD_MISSES programs and the
+    bare-name record."""
     ops = [op for _make, small in workloads.WORKLOADS.values() for op in small(philang)]
     cases = [(op.id, op.text, op.file, op.max_steps) for op in ops]
     cases += [(name, text, name + ".phi", DEFAULT_MAX_STEPS) for name, (text, _s, _v) in sorted(STRESS.items())]
+    cases += [(name, text, name + ".phi", DEFAULT_MAX_STEPS) for name, (text, _o, _s) in sorted(GUARD_MISSES.items())]
     return cases + [("record-by-name", _RECORD_BY_NAME, "record.phi", DEFAULT_MAX_STEPS)]
 
 
-def test_lookup_agrees_with_the_general_path_at_every_budget():
+def test_interpreter_agrees_with_the_general_path_at_every_budget():
     cases = _twin_cases()
-    assert len(cases) >= 27 + 3 + 3 + 1
+    assert len(cases) >= 27 + 3 + 3 + len(GUARD_MISSES) + 1
     for case_id, text, file, default in cases:
-        for budget in [default, *range(1, 21)]:
+        for budget in [default, *range(1, 41)]:
             fast = _twin_outcome(text, file, budget, plain=False)
             assert _twin_outcome(text, file, budget, plain=True) == fast, f"{case_id} at budget {budget}"

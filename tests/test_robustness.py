@@ -1,4 +1,5 @@
 import gc
+import io
 import os
 import subprocess
 import sys
@@ -508,3 +509,60 @@ def test_run_leaves_the_cycle_collector_as_it_found_it():
     finally:
         gc.enable()
         gc.set_threshold(*threshold)
+
+
+# -- an output stream that fails is a fault ------------------------------------
+
+
+class _FailingStream(io.BytesIO):
+    def __init__(self, method):
+        super().__init__()
+        self.method = method
+
+    def write(self, data):
+        if self.method == "write":
+            raise OSError(5, "Input/output error")
+        return super().write(data)
+
+    def flush(self):
+        if self.method == "flush":
+            raise OSError(5, "Input/output error")
+
+
+def _closed():
+    stream = io.BytesIO()
+    stream.close()
+    return stream
+
+
+@pytest.mark.parametrize("make, message", [
+    (_closed, "I/O operation on closed file."),
+    (lambda: _FailingStream("write"), "[Errno 5] Input/output error"),
+    (lambda: _FailingStream("flush"), "[Errno 5] Input/output error"),
+])
+@pytest.mark.parametrize("which", ["stdout", "stderr"])
+def test_an_output_stream_that_fails_is_a_fault(make, message, which):
+    # stdout takes the program's output and stderr the trace
+    streams = {"stdout": io.BytesIO(), "stderr": io.BytesIO(), which: make()}
+    program = Program('[] > main\n  stdout "hi" > @\n', trace=True, **streams)
+    with pytest.raises(EvalFault) as e:
+        program.run()
+    assert str(e.value) == f"output-failed: cannot write to the output stream: {message}"
+
+
+@pytest.mark.parametrize("command", ["run", "eval"])
+def test_a_closed_pipe_on_stdout_exits_one_with_an_error_line(tmp_path, command):
+    # run fails on the program's own write, eval on the write of its value
+    f = tmp_path / "o.phi"
+    f.write_text('[] > main\n  stdout "hi" > @\n')
+    argv, at = (["run", str(f)], f"  at stdout ({f}:1-1)\n") if command == "run" else (["eval", "42"], "")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # before the run, so its first write fails
+    try:
+        proc = subprocess.run([sys.executable, "-m", "philang.cli", *argv], stdout=write_end,
+                              stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == (f"error: output-failed: cannot write to the output stream: [Errno 32] Broken pipe\n"
+                           + at).encode()
