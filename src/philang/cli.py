@@ -6,15 +6,16 @@ traces go to stderr.
 """
 
 import argparse
+import contextlib
 import fnmatch
 import os
 import sys
 
 from . import corpus as corpus_mod
-from .errors import BudgetExceeded, EvalFault, SyntaxFault
+from .errors import EvalFault, PhilangError, SyntaxFault
 from .runtime import DEFAULT_HEAP_SIZE, DEFAULT_MAX_STEPS, Program
 from .atoms import to_text
-from .core import is_datum
+from .core import Interpreter, is_datum
 
 
 def _build_argparser():
@@ -42,40 +43,27 @@ def _build_argparser():
     return ap
 
 
-def _run_file(args):
-    try:
-        with open(args.file, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        sys.stderr.write(f"error: cannot read {args.file}: {exc}\n")
-        return 2
-    return _execute(text, args.file, args, args.traceability, print_value=False)
-
-
-def _execute(text, file, args, traceability, print_value):
-    """Run `text` under the budget, heap size and trace flag of `args`."""
-    try:
-        program = Program(
-            text,
-            file=file,
-            max_steps=args.max_steps,
-            heap_size=args.heap_size,
-            trace=args.trace,
-            traceability=traceability,
-            stdout=sys.stdout.buffer,
-            stderr=sys.stderr.buffer,
-        )
-        value = program.run()
-        if print_value and value is not None:  # written as the program writes: a failing stdout is a fault
-            program.interp.emit(program.interp.stdout, (to_text(value) if is_datum(value) else repr(value)) + "\n")
-    except SyntaxFault as exc:
-        sys.stderr.write(f"parse error: {exc}\n")
-        return 2
-    except (BudgetExceeded, EvalFault) as exc:
-        sys.stderr.write(f"error: {exc}\n" + "".join(f"  at {place}\n" for place in exc.frames))
-        if getattr(exc, "kind", None) == "output-failed":  # so Python's flush of stdout at exit cannot fail again
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 3 if isinstance(exc, BudgetExceeded) else 1
+def _execute(args):
+    """Run the file of `run`, or dataize and print the expression of `eval`,
+    under the budget, heap size and trace flag of `args`."""
+    if args.command == "eval":
+        text, file = args.expr, "<expr>"
+    else:
+        with open(args.file, "r", encoding="utf-8") as fh:  # main reports what this raises
+            text, file = fh.read(), args.file
+    program = Program(
+        text,
+        file=file,
+        max_steps=args.max_steps,
+        heap_size=args.heap_size,
+        trace=args.trace,
+        traceability=args.command == "run" and args.traceability,
+        stdout=sys.stdout.buffer,
+        stderr=sys.stderr.buffer,
+    )
+    value = program.run()
+    if args.command == "eval" and value is not None:  # written as the program writes: a failing stdout is a fault
+        Interpreter.emit(sys.stdout.buffer, (to_text(value) if is_datum(value) else repr(value)) + "\n")
     return 0
 
 
@@ -89,18 +77,31 @@ def _run_corpus(args):
         ok, reason = corpus_mod.check_entry(entry.id)
         failures += not ok
         line = f"{entry.id:<{width}}  {'pass' if ok else 'FAIL'}"
-        sys.stdout.write(f"{line}  {reason}\n" if reason else line + "\n")
-    sys.stdout.write(f"{len(entries)} entries, {failures} failing\n")
+        Interpreter.emit(sys.stdout.buffer, f"{line}  {reason}\n" if reason else line + "\n")
+    Interpreter.emit(sys.stdout.buffer, f"{len(entries)} entries, {failures} failing\n")
     return 0 if failures == 0 else 1
 
 
 def main(argv=None):
     args = _build_argparser().parse_args(argv)
-    if args.command == "run":
-        return _run_file(args)
-    if args.command == "corpus":
-        return _run_corpus(args)
-    return _execute(args.expr, "<expr>", args, False, print_value=True)
+    try:
+        return _run_corpus(args) if args.command == "corpus" else _execute(args)
+    except (PhilangError, OSError, UnicodeDecodeError) as exc:  # the last two from reading the file of `run`
+        if not isinstance(exc, PhilangError):
+            exc = PhilangError(f"cannot read {args.file}: {exc}")
+            exc.exit_code = SyntaxFault.exit_code
+        prefix = "parse error: " if isinstance(exc, SyntaxFault) else "error: "
+        report = prefix + f"{exc}\n" + "".join(f"  at {place}\n" for place in exc.frames)
+        # a non-UTF-8 byte of a file name is written as Python's own stderr writes it, `\udcff`
+        report = report.encode("utf-8", "backslashreplace").decode("utf-8")
+        # Write the report and flush what stdout holds. A stream that fails is pointed at /dev/null:
+        # a failed flush can leave its bytes buffered, and Python's flush at exit would fail on them again.
+        for stream, text in ((sys.stderr, report), (sys.stdout, "")):
+            with contextlib.suppress(EvalFault):
+                Interpreter.emit(stream.buffer, text)
+                continue
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+        return exc.exit_code
 
 
 if __name__ == "__main__":

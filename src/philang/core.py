@@ -295,10 +295,11 @@ class Interpreter:
         if self.steps > self.max_steps:
             raise BudgetExceeded(self.max_steps)
 
-    def emit(self, stream, text):
-        """Write text to `stream` (self.stdout or self.stderr) and flush it. A
-        `surrogateescape` byte, as from argv, is written back; any other
-        surrogate is a fault, and so is a stream that fails."""
+    @staticmethod
+    def emit(stream, text):
+        """Write text to a binary `stream`, as an interpreter's stdout or the
+        CLI's stderr, and flush it. A `surrogateescape` byte, as from argv, is
+        written back; any other surrogate is a fault, and so is a stream that fails."""
         try:
             data = text.encode("utf-8", "surrogateescape")
         except UnicodeEncodeError as exc:

@@ -7,20 +7,15 @@ Files live under corpus/<id>/ inside the package: the program source, an
 reconstruction applied to make the source runnable.
 """
 
+import collections
 from importlib import resources
 
 from .errors import BudgetExceeded
 from .runtime import run_text
 
 
-class CorpusEntry:
-    __slots__ = ("id", "section", "program", "expect_budget_exhausted")
-
-    def __init__(self, id, section, program="program.phi", expect_budget_exhausted=False):
-        self.id = id
-        self.section = section
-        self.program = program
-        self.expect_budget_exhausted = expect_budget_exhausted
+CorpusEntry = collections.namedtuple("CorpusEntry", "id section program expect_budget_exhausted",
+                                     defaults=("program.phi", False))
 
 
 ENTRIES = [

@@ -1,8 +1,5 @@
-"""Error types, and the int64 range, shared across the runtime.
-
-Exit-code mapping used by the CLI: SyntaxFault -> 2, BudgetExceeded -> 3,
-every other EvalFault -> 1.
-"""
+"""Error types, and the int64 range, shared across the runtime. Each type's
+`exit_code` is the CLI's exit code for it."""
 
 # the range of a program's integers and heap addresses
 INT64_MIN = -(1 << 63)
@@ -12,10 +9,13 @@ INT64_MAX = (1 << 63) - 1
 class PhilangError(Exception):
     """Base class for everything this package raises on purpose."""
 
+    exit_code = 1
     frames = ()  # where a fault that left Program.run happened, innermost first
 
 
 class SyntaxFault(PhilangError):
+    exit_code = 2
+
     def __init__(self, message, file=None, line=None):
         self.file = file
         self.line = line
@@ -32,6 +32,8 @@ class EvalFault(PhilangError):
 
 
 class BudgetExceeded(PhilangError):
+    exit_code = 3
+
     def __init__(self, limit):
         self.limit = limit
         super().__init__(f"evaluation budget exhausted ({limit} steps)")

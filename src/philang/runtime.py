@@ -67,7 +67,6 @@ class Program:
         stderr=None,
         extra_builtins=None,
     ):
-        self.stderr = stderr
         limit = _raise_recursion_limit()
         try:
             self.entries = parse_entries(text, file)

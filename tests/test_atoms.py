@@ -706,6 +706,8 @@ FAULT_SITES = {
                       "bad-scope: try expects a one-parameter body object"),
     "bare-token-goto": ("[] > main\n  goto > @\n    [g]\n      g > @\n",
                         "bare-token: a jump token is not a datum; use .forward/.backward"),
+    "goto-token-attribute": ("[] > main\n  goto > @\n    [g]\n      g.foo > @\n",
+                             "bare-token: a jump token is not a datum; use .forward/.backward"),
     "bare-token-try": ("[] > main\n  try > @\n    [t]\n      t > @\n    [e]\n      e > @\n    TRUE\n",
                        "bare-token: a throw token must be applied to a payload before dataization"),
     "type-error": ('[] > main\n  "ab".starts 5 > @\n', "type-error: starts compares strings"),

@@ -238,3 +238,10 @@ def test_trace_respects_max_steps():
     assert b"budget" in err
     trace_lines = [l for l in err.splitlines() if l and not l.startswith(b"error")]
     assert 0 < len(trace_lines) <= 40
+
+
+def test_a_file_name_that_is_not_utf8_is_reported_as_python_writes_it(tmp_path):
+    # the byte 0xff of the name is written back as `\udcff`, the escape Python's stderr uses
+    code, out, err = cli("run", bytes(tmp_path) + b"/no\xffsuch.phi")
+    assert code == 2 and out == b""
+    assert err.startswith(b"error: cannot read " + bytes(tmp_path) + b"/no\\udcffsuch.phi: ")

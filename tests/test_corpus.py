@@ -109,3 +109,13 @@ def test_error_carries_entry_id():
     with pytest.raises(Exception) as e:
         corpus.run_entry("pointers-book", heap_size=16)
     assert "pointers-book" in str(e.value)
+
+
+@pytest.mark.parametrize("entry_id, text, reason", [
+    ("goto-complex-divergent", "[] > main\n  1 > @\n", "expected budget exhaustion, but the run finished"),
+    ("goto-backward", "[] > main\n  1.div 0 > @\n", "error: [goto-backward] division-by-zero: 1 divided by zero"),
+    ("goto-backward", '[] > main\n  stdout "Fin" > @\n', "output mismatch: got b'Fin', want b'Finished!'"),
+])
+def test_check_entry_names_why_an_entry_fails(monkeypatch, entry_id, text, reason):
+    monkeypatch.setattr(corpus, "program_text", lambda _entry_id: text)
+    assert corpus.check_entry(entry_id) == (False, reason)

@@ -566,3 +566,39 @@ def test_a_closed_pipe_on_stdout_exits_one_with_an_error_line(tmp_path, command)
     assert proc.returncode == 1
     assert proc.stderr == (f"error: output-failed: cannot write to the output stream: [Errno 32] Broken pipe\n"
                            + at).encode()
+
+
+def _with_a_closed_pipe(stream, *argv):
+    """Run the CLI with `stream` ("stdout" or "stderr") on a pipe whose read end
+    is closed before the run, and capture the other stream."""
+    other = "stderr" if stream == "stdout" else "stdout"
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        return subprocess.run([sys.executable, "-m", "philang.cli", *argv], timeout=120,
+                              **{stream: write_end, other: subprocess.PIPE})
+    finally:
+        os.close(write_end)
+
+
+def test_a_closed_pipe_on_stdout_under_the_corpus_report_exits_one_with_an_error_line():
+    proc = _with_a_closed_pipe("stdout", "corpus", "goto-*")
+    assert proc.returncode == 1
+    assert proc.stderr == b"error: output-failed: cannot write to the output stream: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("source, argv, code", [
+    (None, ["eval", "1.add 1", "--max-steps", "0"], 3),
+    (None, ["run", "/no/such.phi"], 2),
+    ("[x] > f\n   memory > i\n", ["run"], 2),
+    ('[] > main\n  stdout "hi" > @\n', ["run", "--trace"], 1),
+])
+def test_a_closed_pipe_on_stderr_keeps_the_exit_code(tmp_path, source, argv, code):
+    # the report of the fault cannot be written; the exit code is the fault's all the same
+    if source is not None:
+        f = tmp_path / "p.phi"
+        f.write_text(source)
+        argv = [*argv, str(f)]
+    proc = _with_a_closed_pipe("stderr", *argv)
+    assert proc.returncode == code
+    assert proc.stdout == b""

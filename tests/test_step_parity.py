@@ -205,7 +205,7 @@ def test_corpus_entry_trace(entry_id):
     entry = corpus.get_entry(entry_id)
     program = _program(corpus.program_text(entry_id), entry.program, trace=True, traceability=True)
     program.run()
-    trace = program.stderr.getvalue()
+    trace = program.interp.stderr.getvalue()
     assert hashlib.sha256(trace).hexdigest() == CORPUS_TRACE_SHA256[entry_id]
 
 
