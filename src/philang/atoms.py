@@ -4,11 +4,11 @@
 The object core only knows how to run an AtomApp and how to ask a native
 object for attributes, a datum, or a step. Each program's global names are
 one `vocabulary` namespace. `OPS` is the one table of atom operations: per
-exact type of receiver, data or native, the label and runner of each
-attribute that is an atom bound to the receiver. A native object's
-`native_attr` gives only what is not an atom bound to it: a datum such as
-`address`, a jump signal, a namespace member, or what a cage or snapshot
-passes on to its content.
+exact type of receiver, data or native, the label, runner and argument
+count (None: any) of each attribute that is an atom bound to the receiver.
+A native object's `native_attr` gives only what is not an atom bound to
+it: a datum such as `address`, a jump signal, a namespace member, or what
+a cage or snapshot passes on to its content.
 """
 
 import math
@@ -19,6 +19,7 @@ from . import heap as heapmod
 from .core import (
     _MISS,
     _UNSET,
+    _arity,
     _check_int64,
     AtomApp,
     AtomFn,
@@ -40,11 +41,6 @@ def to_text(v):
     if isinstance(v, (int, float)):
         return repr(v)
     return heapmod.decode_string(v)
-
-
-def _arity(args, n, what):
-    if len(args) != n:
-        raise EvalFault("arity", f"{what} expects {n} argument(s), got {len(args)}")
 
 
 # -- control flow -------------------------------------------------------------
@@ -120,13 +116,11 @@ def _run_seq(interp, _bound, args):
 
 
 def _run_if_bool(interp, cond, args):
-    _arity(args, 2, "if")
     chosen = args[0] if cond else args[1]
     return interp.deep_reduce(chosen.force(interp))
 
 
 def _run_if3(interp, _bound, args):
-    _arity(args, 3, "if")
     cond = interp.force_datum(args[0])
     if not isinstance(cond, bool):
         raise EvalFault("non-boolean-condition", f"if condition reduced to {cond!r}")
@@ -136,11 +130,10 @@ def _run_if3(interp, _bound, args):
 
 def while_atom(cond_thunk):
     """`x.while`, bound to the unevaluated condition `x`."""
-    return AtomFn("while", _run_while, bound=cond_thunk)
+    return AtomFn("while", _run_while, bound=cond_thunk, arity=1)
 
 
 def _run_while(interp, cond_thunk, args):
-    _arity(args, 1, "while")
     body = args[0].force(interp)
     index = 0
     while True:
@@ -151,7 +144,7 @@ def _run_while(interp, cond_thunk, args):
             raise EvalFault("non-boolean-condition", f"while condition reduced to {cond!r}")
         if not cond:
             return False
-        copy = interp.apply(body, [Thunk.of(index)])
+        copy = interp.apply(body, (Thunk.of(index),))
         interp.deep_reduce(copy)
         index += 1
 
@@ -167,13 +160,12 @@ def _scopes(interp, args, atom, *roles):
 
 
 def _run_goto(interp, _bound, args):
-    _arity(args, 1, "goto")
     (scope,) = _scopes(interp, args, "goto", "")
     token = JumpToken("goto")
     try:
         while True:
             interp.tick()
-            copy = interp.apply(scope, [Thunk.of(token)])
+            copy = interp.apply(scope, (Thunk.of(token),))
             try:
                 return interp.deep_reduce(copy)
             except Signal as s:
@@ -187,16 +179,15 @@ def _run_goto(interp, _bound, args):
 
 
 def _run_try(interp, _bound, args):
-    _arity(args, 3, "try")
     body, catch = _scopes(interp, args, "try", "body ", "catch ")
     token = JumpToken("try")
     try:
         try:
-            copy = interp.apply(body, [Thunk.of(token)])
+            copy = interp.apply(body, (Thunk.of(token),))
             return interp.deep_reduce(copy)
         except Signal as s:
             if s.kind == "thrown" and s.token is token:
-                handler = interp.apply(catch, [Thunk.of(s.payload)])
+                handler = interp.apply(catch, (Thunk.of(s.payload),))
                 return interp.deep_reduce(handler)
             raise
     finally:
@@ -221,7 +212,6 @@ class MemoryCell(NativeObject):
 
 
 def _run_memory_write(interp, cell, args):
-    _arity(args, 1, "memory.write")
     value = interp.force_datum(args[0])
     cell.value = value
     return value
@@ -257,7 +247,6 @@ class CageSlot(Forwarder):
 
 
 def _run_cage_write(interp, slot, args):
-    _arity(args, 1, "cage.write")
     slot.stored = args[0].force(interp)  # stored unevaluated: no reduction here
     return True
 
@@ -290,7 +279,7 @@ class SnapshotHandle(Forwarder):
 
 def anchor_atom(handle_thunk):
     """`c.<`: captures the snapshot handle `c` when run."""
-    return AtomApp("anchor", _run_anchor, None, [handle_thunk])
+    return AtomApp("anchor", _run_anchor, None, (handle_thunk,))
 
 
 def _run_anchor(interp, _bound, args):
@@ -308,14 +297,13 @@ class ArrayObject(NativeObject):
     label = "array"
 
     def __init__(self, items):
-        self.items = list(items)
+        self.items = items
 
     def native_attr(self, interp, name):
         return len(self.items) if name == "length" else _MISS
 
 
 def _run_array_get(interp, arr, args):
-    _arity(args, 1, "array.get")
     index = interp.force_datum(args[0])
     if type(index) is not int:
         raise EvalFault("bad-index", f"array index must be an integer, got {index!r}")
@@ -325,10 +313,9 @@ def _run_array_get(interp, arr, args):
 
 
 def _run_array_each(interp, arr, args):
-    _arity(args, 1, "array.each")
     body = args[0].force(interp)
     for item in arr.items:
-        interp.deep_reduce(interp.apply(body, [item]))
+        interp.deep_reduce(interp.apply(body, (item,)))
     return True
 
 
@@ -365,7 +352,6 @@ def _run_arith(op):
     fn = _NUMBER_FNS[op]
 
     def run(interp, a, args):
-        _arity(args, 1, op)
         b = interp.force_datum(args[0])
         if type(b) is not int and type(b) is not float:
             raise _not_a_number(op, b)
@@ -376,7 +362,6 @@ def _run_arith(op):
 
 
 def _run_eq(interp, left, args):
-    _arity(args, 1, "eq")
     right = interp.force_datum(args[0])
     if isinstance(left, bool) or isinstance(right, bool):
         return isinstance(left, bool) and isinstance(right, bool) and left == right
@@ -403,7 +388,6 @@ def _run_as_int(interp, left, args):
 
 
 def _run_starts(interp, left, args):
-    _arity(args, 1, "starts")
     prefix = interp.force_datum(args[0])
     if not isinstance(left, str) or not isinstance(prefix, str):
         raise EvalFault("type-error", "starts compares strings")
@@ -413,9 +397,9 @@ def _run_starts(interp, left, args):
 def data_attr(value, name):
     """Attributes of terminal data outside OPS; `value` is of an exact data type."""
     if name == "as-string":
-        return AtomApp("as-string", _run_as_string, value, [])
+        return AtomApp("as-string", _run_as_string, value, ())
     if name == "as-int" and type(value) in (int, float, bytes):
-        return AtomApp("as-int", _run_as_int, value, [])
+        return AtomApp("as-int", _run_as_int, value, ())
     if name == "if":
         raise EvalFault("non-boolean-condition", f"if condition reduced to {value!r}")
     return _MISS
@@ -432,7 +416,6 @@ class DataHome(NativeObject):
 
 
 def _run_subtype(interp, home, args):
-    _arity(args, 1, "subtype-of")
     return interp.force_datum(args[0]) == home.type_name
 
 
@@ -450,7 +433,6 @@ HOMES = {
 
 
 def _run_stdout(interp, _bound, args):
-    _arity(args, 1, "stdout")
     text = to_text(interp.force_datum(args[0]))
     interp.emit(interp.stdout, text)
     return True
@@ -505,12 +487,10 @@ def _want_int(interp, thunk, what):
 
 
 def _run_malloc(interp, store, args):
-    _arity(args, 1, "malloc")
     return AllocObj(store, store.malloc(_want_int(interp, args[0], "malloc")))
 
 
 def _run_free(interp, store, args):
-    _arity(args, 1, "free")
     target = interp.deep_reduce(args[0].force(interp))
     if not isinstance(target, AllocObj):
         raise EvalFault("bad-free", "free expects a malloc allocation")
@@ -521,7 +501,6 @@ def _run_free(interp, store, args):
 
 
 def _run_heap_pointer(interp, store, args):
-    _arity(args, 2, "heap.pointer")
     pointer = heapmod.PointerValue(store, _want_int(interp, args[0], "heap.pointer address"),
                                    _want_int(interp, args[1], "heap.pointer stride"))
     store.ensure_mapped(pointer.address)
@@ -541,14 +520,12 @@ class AllocObj(NativeObject):  # (store, block): an Allocation holding its store
 
 
 def _run_alloc_pointer(interp, alloc_obj, args):
-    _arity(args, 2, "pointer")
     address = alloc_obj.alloc.base + _want_int(interp, args[0], "pointer offset")
     return heapmod.PointerValue(alloc_obj.store, address, _want_int(interp, args[1], "pointer stride"))
 
 
 def _run_ptr_shift(sign):
     def run(interp, pointer, args):
-        _arity(args, 1, "pointer shift")
         k = _want_int(interp, args[0], "pointer shift")
         return heapmod.pointer_add(pointer, sign * k)
 
@@ -556,12 +533,10 @@ def _run_ptr_shift(sign):
 
 
 def _run_block(interp, pointer, args):
-    _arity(args, 2, "block")
     return heapmod.make_block(pointer, _want_int(interp, args[0], "block length"), args[1])
 
 
 def _run_block_write(interp, block, args):
-    _arity(args, 1, "block.write")
     heapmod.block_write(block, interp.force_datum(args[0]))
     return True
 
@@ -569,26 +544,26 @@ def _run_block_write(interp, block, args):
 # -- the op table ---------------------------------------------------------------
 
 # Per exact receiver type, each attribute that is an atom bound to the
-# receiver, as (label, runner): soft_resolve makes an AtomFn of it, and
-# Interpreter.evaluate builds the application of `r.op args` from it in
-# place.
-_NUMBER_OPS = {"eq": ("eq", _run_eq), **{op: (op, _run_arith(op)) for op in _NUMBER_FNS}}
+# receiver, as (label, runner, argument count or None for any number):
+# soft_resolve makes an AtomFn of it, and Interpreter.evaluate builds the
+# application of `r.op args` from it in place.
+_NUMBER_OPS = {"eq": ("eq", _run_eq, 1), **{op: (op, _run_arith(op), 1) for op in _NUMBER_FNS}}
 OPS = {
     int: _NUMBER_OPS,
     float: _NUMBER_OPS,
-    bool: {"if": ("if", _run_if_bool), "eq": ("eq", _run_eq)},
-    str: {"starts": ("starts", _run_starts), "eq": ("eq", _run_eq)},
-    bytes: {"eq": ("eq", _run_eq)},
-    MemoryCell: {"write": ("memory-write", _run_memory_write)},
-    CageSlot: {"write": ("cage-write", _run_cage_write)},
-    ArrayObject: {"get": ("array-get", _run_array_get), "each": ("array-each", _run_array_each)},
-    DataHome: {"subtype-of": ("subtype-of", _run_subtype)},
-    heapmod.HeapStore: {"malloc": ("malloc", _run_malloc), "free": ("free", _run_free),
-                        "pointer": ("heap-pointer", _run_heap_pointer)},
-    AllocObj: {"pointer": ("alloc-pointer", _run_alloc_pointer)},
-    heapmod.PointerValue: {"add": ("pointer-add", _run_ptr_shift(1)), "sub": ("pointer-sub", _run_ptr_shift(-1)),
-                           "block": ("block", _run_block)},
-    heapmod.BlockView: {"write": ("block-write", _run_block_write)},
+    bool: {"if": ("if", _run_if_bool, 2), "eq": ("eq", _run_eq, 1)},
+    str: {"starts": ("starts", _run_starts, 1), "eq": ("eq", _run_eq, 1)},
+    bytes: {"eq": ("eq", _run_eq, 1)},
+    MemoryCell: {"write": ("memory-write", _run_memory_write, 1)},
+    CageSlot: {"write": ("cage-write", _run_cage_write, 1)},
+    ArrayObject: {"get": ("array-get", _run_array_get, 1), "each": ("array-each", _run_array_each, 1)},
+    DataHome: {"subtype-of": ("subtype-of", _run_subtype, 1)},
+    heapmod.HeapStore: {"malloc": ("malloc", _run_malloc, 1), "free": ("free", _run_free, 1),
+                        "pointer": ("heap-pointer", _run_heap_pointer, 2)},
+    AllocObj: {"pointer": ("alloc-pointer", _run_alloc_pointer, 2)},
+    heapmod.PointerValue: {"add": ("pointer-add", _run_ptr_shift(1), 1),
+                           "sub": ("pointer-sub", _run_ptr_shift(-1), 1), "block": ("block", _run_block, 2)},
+    heapmod.BlockView: {"write": ("block-write", _run_block_write, 1)},
 }
 
 
@@ -611,9 +586,9 @@ class Namespace(NativeObject):
 
 
 # shared by every program's vocabulary: nothing in it belongs to a program or changes
-_GLOBALS = {name: AtomFn(name, fn) for name, fn in (
-    ("seq", _run_seq), ("if", _run_if3), ("goto", _run_goto), ("try", _run_try),
-    ("stdout", _run_stdout), ("sprintf", _run_sprintf), ("array", _run_array_make),
+_GLOBALS = {name: AtomFn(name, fn, None, arity) for name, fn, arity in (
+    ("seq", _run_seq, None), ("if", _run_if3, 3), ("goto", _run_goto, 1), ("try", _run_try, 3),
+    ("stdout", _run_stdout, 1), ("sprintf", _run_sprintf, None), ("array", _run_array_make, None),
 )} | {"memory": MemoryCell, "cage": CageSlot}
 _EOLANG = {"io": Namespace("org.eolang.io", {"stdout": _GLOBALS["stdout"]}), "memory": MemoryCell,
            "txt": Namespace("org.eolang.txt", {"sprintf": _GLOBALS["sprintf"]}), "array": _GLOBALS["array"]}

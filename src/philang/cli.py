@@ -58,12 +58,10 @@ def _execute(args):
         heap_size=args.heap_size,
         trace=args.trace,
         traceability=args.command == "run" and args.traceability,
-        stdout=sys.stdout.buffer,
-        stderr=sys.stderr.buffer,
     )
     value = program.run()
     if args.command == "eval" and value is not None:  # written as the program writes: a failing stdout is a fault
-        Interpreter.emit(sys.stdout.buffer, (to_text(value) if is_datum(value) else repr(value)) + "\n")
+        Interpreter.emit(program.interp.stdout, (to_text(value) if is_datum(value) else repr(value)) + "\n")
     return 0
 
 
@@ -73,12 +71,13 @@ def _run_corpus(args):
         entries = [e for e in entries if fnmatch.fnmatchcase(e.id, args.glob)]
     width = max((len(e.id) for e in entries), default=8)
     failures = 0
+    out = getattr(sys.stdout, "buffer", None)  # None when Python started with descriptor 1 closed
     for entry in entries:
         ok, reason = corpus_mod.check_entry(entry.id)
         failures += not ok
         line = f"{entry.id:<{width}}  {'pass' if ok else 'FAIL'}"
-        Interpreter.emit(sys.stdout.buffer, f"{line}  {reason}\n" if reason else line + "\n")
-    Interpreter.emit(sys.stdout.buffer, f"{len(entries)} entries, {failures} failing\n")
+        Interpreter.emit(out, f"{line}  {reason}\n" if reason else line + "\n")
+    Interpreter.emit(out, f"{len(entries)} entries, {failures} failing\n")
     return 0 if failures == 0 else 1
 
 
@@ -94,13 +93,15 @@ def main(argv=None):
         report = prefix + f"{exc}\n" + "".join(f"  at {place}\n" for place in exc.frames)
         # a non-UTF-8 byte of a file name is written as Python's own stderr writes it, `\udcff`
         report = report.encode("utf-8", "backslashreplace").decode("utf-8")
-        # Write the report and flush what stdout holds. A stream that fails is pointed at /dev/null:
-        # a failed flush can leave its bytes buffered, and Python's flush at exit would fail on them again.
+        # Write the report and flush what stdout holds. A stream that fails is pointed at /dev/null, unless
+        # it is None (closed from the start): a failed flush can leave its bytes buffered, and Python's
+        # flush at exit would fail on them again.
         for stream, text in ((sys.stderr, report), (sys.stdout, "")):
             with contextlib.suppress(EvalFault):
-                Interpreter.emit(stream.buffer, text)
+                Interpreter.emit(getattr(stream, "buffer", None), text)
                 continue
-            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+            if stream is not None:
+                os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
         return exc.exit_code
 
 

@@ -40,13 +40,13 @@ in its order, with the budget checked before each is counted (k at once
 only when all k fit). When the table misses or the budget is too short, it
 goes on along the general path from the value in hand, without ticking
 again and without a Python frame more per nesting level. Every atom
-application runs in run_cached. Tracing only writes lines: a traced run
-takes the same frames and steps. Each copy kept for speed states its
-gain: perfbench steps_per_s with it over without it, median of
-alternating pairs. The step path has no comprehension: before Python
-3.12 (PEP 709) each one builds a function and a frame, so thunk lists
-are `list(map(Thunk, args, repeat(owner)))` and deep_reduce looks for a
-closure's unbound parameters with a plain loop.
+application runs in run_cached, which alone checks its argument count.
+Tracing only writes lines: a traced run takes the same frames and steps.
+Each copy kept for speed states its gain: perfbench steps_per_s with it
+over without it, median of alternating pairs. The step path has no
+comprehension: before Python 3.12 (PEP 709) each one builds a function and
+a frame, so arguments are `tuple(map(Thunk, args, repeat(owner)))` and
+deep_reduce looks for a closure's unbound parameters with a plain loop.
 """
 
 import sys
@@ -85,6 +85,11 @@ def _check_int64(v):
     if type(v) is int and not INT64_MIN <= v <= INT64_MAX:
         raise EvalFault("int64-overflow", f"{v} does not fit in a signed 64-bit integer")
     return v
+
+
+def _arity(args, n, what):
+    if len(args) != n:
+        raise EvalFault("arity", f"{what} expects {n} argument(s), got {len(args)}")
 
 
 def _plain_datum(x, what):
@@ -227,26 +232,28 @@ class NativeObject:
 
 
 class AtomFn(NativeObject):
-    """A native function; copying it (Interpreter.apply) yields an AtomApp."""
+    """A native function of `arity` arguments (None: any); apply makes an AtomApp of it."""
 
-    __slots__ = ("label", "fn", "bound")
+    __slots__ = ("label", "fn", "bound", "arity")
 
-    def __init__(self, label, fn, bound=None):
+    def __init__(self, label, fn, bound=None, arity=None):
         self.label = label
         self.fn = fn
         self.bound = bound
+        self.arity = arity
 
 
 class AtomApp:
     """A fully-formed native application; running it is cached per instance."""
 
-    __slots__ = ("name", "fn", "bound", "args", "result", "running")
+    __slots__ = ("name", "fn", "bound", "args", "arity", "result", "running")
 
-    def __init__(self, name, fn, bound, args):
+    def __init__(self, name, fn, bound, args, arity=None):
         self.name = name
         self.fn = fn
         self.bound = bound
         self.args = args
+        self.arity = arity
         self.result = _UNSET
         self.running = False
 
@@ -279,8 +286,8 @@ class Interpreter:
         self.vocabulary = vocabulary
         self.max_steps = max_steps
         self.steps = 0
-        self.stdout = stdout if stdout is not None else sys.stdout.buffer
-        self.stderr = stderr if stderr is not None else sys.stderr.buffer
+        self.stdout = stdout if stdout is not None else getattr(sys.stdout, "buffer", None)
+        self.stderr = stderr if stderr is not None else getattr(sys.stderr, "buffer", None)
         self.trace = trace
         self.depth = 0
         self.root = None
@@ -299,11 +306,14 @@ class Interpreter:
     def emit(stream, text):
         """Write text to a binary `stream`, as an interpreter's stdout or the
         CLI's stderr, and flush it. A `surrogateescape` byte, as from argv, is
-        written back; any other surrogate is a fault, and so is a stream that fails."""
+        written back; any other surrogate is a fault, and so is a stream that
+        fails or is None (sys.stdout is, when Python starts with fd 1 closed)."""
         try:
             data = text.encode("utf-8", "surrogateescape")
         except UnicodeEncodeError as exc:
             raise EvalFault("bad-bytes", f"text cannot be written as UTF-8: {exc}") from None
+        if stream is None:
+            raise EvalFault("output-failed", "cannot write to the output stream: it is not open")
         try:
             stream.write(data)
             stream.flush()
@@ -372,14 +382,14 @@ class Interpreter:
                 if hit is not None and self.steps + k <= self.max_steps:
                     self.steps += k
                     if len(args) == 1:  # 1.07x loop
-                        return AtomApp(hit[0], hit[1], bound, [Thunk(args[0], owner)])
-                    return AtomApp(hit[0], hit[1], bound, list(map(Thunk, args, repeat(owner))))
+                        return AtomApp(hit[0], hit[1], bound, (Thunk(args[0], owner),), hit[2])
+                    return AtomApp(hit[0], hit[1], bound, tuple(map(Thunk, args, repeat(owner))), hit[2])
                 found = self.soft_resolve(v, attr)
                 if found is _MISS:
                     raise self._no_attribute(obj, attr)
-                return self.apply(found, list(map(Thunk, args, repeat(owner))))
+                return self.apply(found, tuple(map(Thunk, args, repeat(owner))))
             head = self.evaluate(head, owner)
-            return self.apply(head, list(map(Thunk, args, repeat(owner))))
+            return self.apply(head, tuple(map(Thunk, args, repeat(owner))))
         if t is Dispatch:
             if term.attr == "while":
                 return atoms.while_atom(Thunk(term.recv, owner))
@@ -488,7 +498,7 @@ class Interpreter:
                     t = type(obj)
                 hit = self._ops.get(t, _NO_OPS).get(name)
                 if hit is not None:
-                    return AtomFn(hit[0], hit[1], obj)
+                    return AtomFn(hit[0], hit[1], obj, hit[2])
                 found = atoms.data_attr(obj, name) if t in _EXACT_DATA else obj.native_attr(self, name)
                 if found is not _MISS:
                     return _check_int64(found)
@@ -530,7 +540,7 @@ class Interpreter:
         if t is Closure:
             return obj.copy_with(arg_thunks)
         if t is AtomFn:
-            return AtomApp(obj.label, obj.fn, obj.bound, list(arg_thunks))
+            return AtomApp(obj.label, obj.fn, obj.bound, arg_thunks, obj.arity)
         if t is AtomApp:
             return self.apply(self.run_cached(obj), arg_thunks)
         if t not in _EXACT_DATA:
@@ -554,6 +564,8 @@ class Interpreter:
         if steps > self.max_steps:
             raise BudgetExceeded(self.max_steps)
         self.trace_step(app)
+        if app.arity is not None and len(app.args) != app.arity:
+            _arity(app.args, app.arity, app.name)
         app.running = True
         self.depth += 1
         try:
@@ -569,13 +581,13 @@ class Interpreter:
         """The innermost `limit` distinct places in traceback `tb`, innermost
         first: each thunk forced in a scope, as the scope and the thunk's span,
         and each atom run, as its name and its first argument's span if any.
-        Reads the locals `self` of Thunk.force and `app` of run_cached."""
+        Reads f_locals, a dict made on each read, only of Thunk.force and run_cached."""
         places = {}  # each at its innermost occurrence, outermost first
         while tb is not None:
-            code, local, tb = tb.tb_frame.f_code, tb.tb_frame.f_locals.get, tb.tb_next
-            if code is Thunk.force.__code__ and getattr(th := local("self"), "owner", None) is not None:
+            frame, tb = tb.tb_frame, tb.tb_next
+            if frame.f_code is Thunk.force.__code__ and getattr(th := frame.f_locals.get("self"), "owner", None) is not None:
                 place, term = self.describe(th.owner), th.term
-            elif code is Interpreter.run_cached.__code__ and (app := local("app")) is not None:
+            elif frame.f_code is Interpreter.run_cached.__code__ and (app := frame.f_locals.get("app")) is not None:
                 place, term = app.name, getattr(app.args[0], "term", None) if app.args else None
             else:
                 continue

@@ -245,7 +245,7 @@ class BlockView(NativeObject):
         if self.decoder is None:
             return _MISS
         data = block_read_bytes(self)
-        return interp.dataize(interp.apply(self.decoder.force(interp), [Thunk.of(data)]))
+        return interp.dataize(interp.apply(self.decoder.force(interp), (Thunk.of(data),)))
 
 
 def make_block(pointer, length, decoder=None):

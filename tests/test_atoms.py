@@ -1,5 +1,6 @@
 import pytest
 
+from philang.atoms import _GLOBALS, OPS
 from philang.core import AtomFn
 from philang.errors import BudgetExceeded, EvalFault
 from philang.runtime import run_text
@@ -694,9 +695,61 @@ _CAUGHT = ("[] > main\n  heap.malloc 16 > a\n  try > @\n    [t]\n      t ({throw
 _HEAP_THINGS = {"pointer": "a.pointer 0 8", "block": "(a.pointer 0 8).block 8 ([b] (b.as-int > @))",
                 "allocation": "a"}
 
+# One wrong-arity program per fixed-arity atom (each entry of OPS, then each
+# global atom of fixed arity), with its message and the step its fault fires
+# at. The message names the atom by the label that its `at` line prints.
+_MAIN = "[] > main\n"
+_ALLOC = _MAIN + "  heap.malloc 8 > a\n"
+ARITY_SITES = {
+    **{op: (_MAIN + f"  5.{op} 1 2 > @\n", f"arity: {op} expects 1 argument(s), got 2", 10)
+       for op in ("eq", "add", "sub", "mul", "div", "less", "greater")},
+    "if-bool": (_MAIN + "  TRUE.if 1 > @\n", "arity: if expects 2 argument(s), got 1", 10),
+    "starts": (_MAIN + '  "ab".starts "a" "b" > @\n', "arity: starts expects 1 argument(s), got 2", 10),
+    "memory-write": (_MAIN + "  memory > m\n  m.write 1 2 > @\n",
+                     "arity: memory-write expects 1 argument(s), got 2", 11),
+    "cage-write": (_MAIN + "  cage > c\n  c.write 1 2 > @\n", "arity: cage-write expects 1 argument(s), got 2", 11),
+    "array-get": (_MAIN + "  array 1 2 > a\n  a.get 0 1 > @\n", "arity: array-get expects 1 argument(s), got 2", 15),
+    "array-each": (_MAIN + "  array 1 2 > a\n  a.each 1 2 > @\n",
+                   "arity: array-each expects 1 argument(s), got 2", 15),
+    "subtype-of": (_MAIN + '  5 > x\n  x.& > h\n  h.subtype-of "Int" "Int" > @\n',
+                   "arity: subtype-of expects 1 argument(s), got 2", 16),
+    "malloc": (_MAIN + "  heap.malloc 8 8 > @\n", "arity: malloc expects 1 argument(s), got 2", 10),
+    "free": (_MAIN + "  heap.free 1 2 > @\n", "arity: free expects 1 argument(s), got 2", 10),
+    "heap-pointer": (_MAIN + "  heap.pointer 64 > @\n", "arity: heap-pointer expects 2 argument(s), got 1", 10),
+    "alloc-pointer": (_ALLOC + "  a.pointer 0 > @\n", "arity: alloc-pointer expects 2 argument(s), got 1", 19),
+    "pointer-add": (_ALLOC + "  (a.pointer 0 8).add 1 2 > @\n", "arity: pointer-add expects 1 argument(s), got 2", 29),
+    "pointer-sub": (_ALLOC + "  (a.pointer 0 8).sub 1 2 > @\n", "arity: pointer-sub expects 1 argument(s), got 2", 29),
+    "block": (_ALLOC + "  (a.pointer 0 8).block 8 > @\n", "arity: block expects 2 argument(s), got 1", 29),
+    "block-write": (_BLOCK.format(n=8, decoder="b.as-int") + "  v.write 1 2 > @\n",
+                    "arity: block-write expects 1 argument(s), got 2", 40),
+    "if": (_MAIN + "  if TRUE 1 > @\n", "arity: if expects 3 argument(s), got 2", 8),
+    "goto": (_MAIN + "  goto 1 2 > @\n", "arity: goto expects 1 argument(s), got 2", 8),
+    "try": (_MAIN + "  try 1 2 > @\n", "arity: try expects 3 argument(s), got 2", 8),
+    "stdout": (_MAIN + '  stdout "a" "b" > @\n', "arity: stdout expects 1 argument(s), got 2", 8),
+    "while": (_MAIN + "  TRUE.while 1 2 > @\n", "arity: while expects 1 argument(s), got 2", 8),
+}
+
+
+def test_every_fixed_arity_atom_has_an_arity_site():
+    labels = {entry[0] for table in OPS.values() for entry in table.values() if entry[2] is not None}
+    labels |= {fn.label for fn in _GLOBALS.values() if isinstance(fn, AtomFn) and fn.arity is not None}
+    assert labels | {"while"} == {message.split()[1] for _src, message, _steps in ARITY_SITES.values()}
+
+
+@pytest.mark.parametrize("name", sorted(ARITY_SITES))
+def test_arity_fault_fires_at_its_step_and_names_its_at_line_label(name):
+    src, message, steps = ARITY_SITES[name]
+    program, _out, _err = make_program(src, file="a.phi")
+    with pytest.raises(EvalFault) as e:
+        program.run()
+    assert program.interp.steps == steps
+    assert e.value.frames[0].split(" ")[0] == message.split()[1]
+
+
 # One program per fault site whose kind and message no other test pins, with
 # the kind and message it must fail with.
 FAULT_SITES = {
+    **{f"arity-{name}": (src, message) for name, (src, message, _steps) in ARITY_SITES.items()},
     "bad-index": ('[] > main\n  array 1 2 > a\n  a.get "x" > @\n',
                   "bad-index: array index must be an integer, got 'x'"),
     "bad-free": ("[] > main\n  heap.free 5 > @\n", "bad-free: free expects a malloc allocation"),

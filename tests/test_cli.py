@@ -1,7 +1,10 @@
+import os
 import subprocess
 import sys
 
 from importlib import resources
+
+import pytest
 
 from conftest import float_inf
 
@@ -245,3 +248,35 @@ def test_a_file_name_that_is_not_utf8_is_reported_as_python_writes_it(tmp_path):
     code, out, err = cli("run", bytes(tmp_path) + b"/no\xffsuch.phi")
     assert code == 2 and out == b""
     assert err.startswith(b"error: cannot read " + bytes(tmp_path) + b"/no\\udcffsuch.phi: ")
+
+
+def _cli_with_closed(fd, *args):
+    """Run the CLI in a child that starts with descriptor `fd` (1 or 2)
+    closed, so Python sets that stream to None; capture the other one."""
+    other = {1: "stderr", 2: "stdout"}[fd]
+    return subprocess.run([sys.executable, "-m", "philang.cli", *args], timeout=120,
+                          preexec_fn=lambda: os.close(fd), **{other: subprocess.PIPE})
+
+
+CLOSED = b"error: output-failed: cannot write to the output stream: it is not open\n"
+
+
+@pytest.mark.parametrize("args, err", [
+    (["eval", "42"], CLOSED),
+    (["corpus", "goto-*"], CLOSED),
+    (["run", corpus_path("goto-backward")], CLOSED + b"  at stdout (" + corpus_path("goto-backward").encode()),
+], ids=["eval", "corpus", "run"])
+def test_a_stdout_closed_from_the_start_exits_one_with_an_error_line(args, err):
+    proc = _cli_with_closed(1, *args)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith(err)
+
+
+@pytest.mark.parametrize("args, code", [
+    (["eval", "1.add 1", "--max-steps", "0"], 3),
+    (["run", "/no/such.phi"], 2),
+])
+def test_a_stderr_closed_from_the_start_keeps_the_exit_code(args, code):
+    proc = _cli_with_closed(2, *args)
+    assert proc.returncode == code
+    assert proc.stdout == b""
