@@ -130,7 +130,7 @@ def _run_if3(interp, _bound, args):
 
 def while_atom(cond_thunk):
     """`x.while`, bound to the unevaluated condition `x`."""
-    return AtomFn("while", _run_while, bound=cond_thunk, arity=1)
+    return AtomFn(_WHILE, cond_thunk)
 
 
 def _run_while(interp, cond_thunk, args):
@@ -279,7 +279,7 @@ class SnapshotHandle(Forwarder):
 
 def anchor_atom(handle_thunk):
     """`c.<`: captures the snapshot handle `c` when run."""
-    return AtomApp("anchor", _run_anchor, None, (handle_thunk,))
+    return AtomApp(_ANCHOR, None, (handle_thunk,))
 
 
 def _run_anchor(interp, _bound, args):
@@ -397,9 +397,9 @@ def _run_starts(interp, left, args):
 def data_attr(value, name):
     """Attributes of terminal data outside OPS; `value` is of an exact data type."""
     if name == "as-string":
-        return AtomApp("as-string", _run_as_string, value, ())
+        return AtomApp(_AS_STRING, value, ())
     if name == "as-int" and type(value) in (int, float, bytes):
-        return AtomApp("as-int", _run_as_int, value, ())
+        return AtomApp(_AS_INT, value, ())
     if name == "if":
         raise EvalFault("non-boolean-condition", f"if condition reduced to {value!r}")
     return _MISS
@@ -544,9 +544,9 @@ def _run_block_write(interp, block, args):
 # -- the op table ---------------------------------------------------------------
 
 # Per exact receiver type, each attribute that is an atom bound to the
-# receiver, as (label, runner, argument count or None for any number):
-# soft_resolve makes an AtomFn of it, and Interpreter.evaluate builds the
-# application of `r.op args` from it in place.
+# receiver, as its entry (label, runner, argument count or None for any
+# number): soft_resolve makes an AtomFn of it, and Interpreter.evaluate builds
+# the application of `r.op args` from it in place, each carrying the entry whole.
 _NUMBER_OPS = {"eq": ("eq", _run_eq, 1), **{op: (op, _run_arith(op), 1) for op in _NUMBER_FNS}}
 OPS = {
     int: _NUMBER_OPS,
@@ -565,6 +565,9 @@ OPS = {
                            "sub": ("pointer-sub", _run_ptr_shift(-1), 1), "block": ("block", _run_block, 2)},
     heapmod.BlockView: {"write": ("block-write", _run_block_write, 1)},
 }
+# entries of the same shape for `x.while`, `c.<` and two data attributes outside OPS
+_WHILE, _ANCHOR, _AS_STRING, _AS_INT = (("while", _run_while, 1), ("anchor", _run_anchor, None),
+                                        ("as-string", _run_as_string, None), ("as-int", _run_as_int, None))
 
 
 # -- the global vocabulary -----------------------------------------------------
@@ -586,7 +589,7 @@ class Namespace(NativeObject):
 
 
 # shared by every program's vocabulary: nothing in it belongs to a program or changes
-_GLOBALS = {name: AtomFn(name, fn, None, arity) for name, fn, arity in (
+_GLOBALS = {op[0]: AtomFn(op) for op in (
     ("seq", _run_seq, None), ("if", _run_if3, 3), ("goto", _run_goto, 1), ("try", _run_try, 3),
     ("stdout", _run_stdout, 1), ("sprintf", _run_sprintf, None), ("array", _run_array_make, None),
 )} | {"memory": MemoryCell, "cage": CageSlot}

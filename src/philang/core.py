@@ -39,8 +39,10 @@ through soft_resolve and apply. It ticks the steps the general path would,
 in its order, with the budget checked before each is counted (k at once
 only when all k fit). When the table misses or the budget is too short, it
 goes on along the general path from the value in hand, without ticking
-again and without a Python frame more per nesting level. Every atom
-application runs in run_cached, which alone checks its argument count.
+again and without a Python frame more per nesting level. An atom's entry
+(label, runner, argument count), its `atoms.OPS` row itself, passes whole
+into the AtomFn and AtomApp made of it. Every atom application runs in
+run_cached, which alone unpacks the entry and checks the argument count.
 Tracing only writes lines: a traced run takes the same frames and steps.
 Each copy kept for speed states its gain: perfbench steps_per_s with it
 over without it, median of alternating pairs. The step path has no
@@ -232,28 +234,26 @@ class NativeObject:
 
 
 class AtomFn(NativeObject):
-    """A native function of `arity` arguments (None: any); apply makes an AtomApp of it."""
+    """An atom's entry `op` (label, runner, argument count or None for any: an
+    `atoms.OPS` row or one of its shape) bound to `bound`; apply makes an AtomApp of it."""
 
-    __slots__ = ("label", "fn", "bound", "arity")
+    __slots__ = ("op", "bound")
+    label = property(lambda self: self.op[0])
 
-    def __init__(self, label, fn, bound=None, arity=None):
-        self.label = label
-        self.fn = fn
+    def __init__(self, op, bound=None):
+        self.op = op
         self.bound = bound
-        self.arity = arity
 
 
 class AtomApp:
-    """A fully-formed native application; running it is cached per instance."""
+    """An atom's entry `op`, as AtomFn's, applied to `args`; running it is cached per instance."""
 
-    __slots__ = ("name", "fn", "bound", "args", "arity", "result", "running")
+    __slots__ = ("op", "bound", "args", "result", "running")
 
-    def __init__(self, name, fn, bound, args, arity=None):
-        self.name = name
-        self.fn = fn
+    def __init__(self, op, bound, args):
+        self.op = op
         self.bound = bound
         self.args = args
-        self.arity = arity
         self.result = _UNSET
         self.running = False
 
@@ -335,7 +335,7 @@ class Interpreter:
                 parts.append(src.value)
             return " ".join(parts)
         if isinstance(obj, AtomApp):
-            return obj.name
+            return obj.op[0]
         if isinstance(obj, NativeObject):
             return obj.label
         return repr(obj)
@@ -382,8 +382,8 @@ class Interpreter:
                 if hit is not None and self.steps + k <= self.max_steps:
                     self.steps += k
                     if len(args) == 1:  # 1.07x loop
-                        return AtomApp(hit[0], hit[1], bound, (Thunk(args[0], owner),), hit[2])
-                    return AtomApp(hit[0], hit[1], bound, tuple(map(Thunk, args, repeat(owner))), hit[2])
+                        return AtomApp(hit, bound, (Thunk(args[0], owner),))
+                    return AtomApp(hit, bound, tuple(map(Thunk, args, repeat(owner))))
                 found = self.soft_resolve(v, attr)
                 if found is _MISS:
                     raise self._no_attribute(obj, attr)
@@ -498,7 +498,7 @@ class Interpreter:
                     t = type(obj)
                 hit = self._ops.get(t, _NO_OPS).get(name)
                 if hit is not None:
-                    return AtomFn(hit[0], hit[1], obj, hit[2])
+                    return AtomFn(hit, obj)
                 found = atoms.data_attr(obj, name) if t in _EXACT_DATA else obj.native_attr(self, name)
                 if found is not _MISS:
                     return _check_int64(found)
@@ -540,7 +540,7 @@ class Interpreter:
         if t is Closure:
             return obj.copy_with(arg_thunks)
         if t is AtomFn:
-            return AtomApp(obj.label, obj.fn, obj.bound, arg_thunks, obj.arity)
+            return AtomApp(obj.op, obj.bound, arg_thunks)
         if t is AtomApp:
             return self.apply(self.run_cached(obj), arg_thunks)
         if t not in _EXACT_DATA:
@@ -555,21 +555,20 @@ class Interpreter:
         result = app.result
         if result is not _UNSET:
             return result
+        label, fn, arity = app.op
         if app.running:
-            raise EvalFault(
-                "circular-reduction", f"{app.name} depends on its own result"
-            )
+            raise EvalFault("circular-reduction", f"{label} depends on its own result")
         steps = self.steps + 1  # tick() inline here and in deep_reduce: 1.04x loop, 1.06x recursion
         self.steps = steps
         if steps > self.max_steps:
             raise BudgetExceeded(self.max_steps)
         self.trace_step(app)
-        if app.arity is not None and len(app.args) != app.arity:
-            _arity(app.args, app.arity, app.name)
+        if arity is not None and len(app.args) != arity:
+            _arity(app.args, arity, label)
         app.running = True
         self.depth += 1
         try:
-            result = app.fn(self, app.bound, app.args)
+            result = fn(self, app.bound, app.args)
         finally:
             self.depth -= 1
             app.running = False
@@ -580,7 +579,7 @@ class Interpreter:
     def backtrace(self, tb, limit=8):
         """The innermost `limit` distinct places in traceback `tb`, innermost
         first: each thunk forced in a scope, as the scope and the thunk's span,
-        and each atom run, as its name and its first argument's span if any.
+        and each atom run, as its label and its first argument's span if any.
         Reads f_locals, a dict made on each read, only of Thunk.force and run_cached."""
         places = {}  # each at its innermost occurrence, outermost first
         while tb is not None:
@@ -588,7 +587,7 @@ class Interpreter:
             if frame.f_code is Thunk.force.__code__ and getattr(th := frame.f_locals.get("self"), "owner", None) is not None:
                 place, term = self.describe(th.owner), th.term
             elif frame.f_code is Interpreter.run_cached.__code__ and (app := frame.f_locals.get("app")) is not None:
-                place, term = app.name, getattr(app.args[0], "term", None) if app.args else None
+                place, term = app.op[0], getattr(app.args[0], "term", None) if app.args else None
             else:
                 continue
             span = getattr(term, "span", None)

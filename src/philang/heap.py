@@ -215,10 +215,6 @@ def pointer_add(p, k):
     return PointerValue(p.store, p.address + k * p.stride, p.stride)
 
 
-def pointer_sub(p, k):
-    return pointer_add(p, -k)
-
-
 class BlockView(NativeObject):
     """A typed window of `length` bytes at a fixed offset within a record,
     read as a datum by applying `decoder` (a thunk) to its bytes."""

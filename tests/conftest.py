@@ -17,7 +17,7 @@ class Probe(NativeObject):
 
     def native_attr(self, interp, name):
         if name == "bump":
-            return AtomApp("probe-bump", self._run_bump, self, [])
+            return AtomApp(("probe-bump", self._run_bump, None), self, [])
         if name == "peek":
             return self.count
         return _MISS

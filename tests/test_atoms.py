@@ -1,7 +1,7 @@
 import pytest
 
-from philang.atoms import _GLOBALS, OPS
-from philang.core import AtomFn
+from philang.atoms import _GLOBALS, _WHILE, OPS
+from philang.core import AtomApp, AtomFn
 from philang.errors import BudgetExceeded, EvalFault
 from philang.runtime import run_text
 
@@ -732,8 +732,21 @@ ARITY_SITES = {
 
 def test_every_fixed_arity_atom_has_an_arity_site():
     labels = {entry[0] for table in OPS.values() for entry in table.values() if entry[2] is not None}
-    labels |= {fn.label for fn in _GLOBALS.values() if isinstance(fn, AtomFn) and fn.arity is not None}
+    labels |= {fn.op[0] for fn in _GLOBALS.values() if isinstance(fn, AtomFn) and fn.op[2] is not None}
     assert labels | {"while"} == {message.split()[1] for _src, message, _steps in ARITY_SITES.values()}
+
+
+def test_every_atom_application_carries_its_table_entry_itself():
+    # the fused `i.add 1`, `five.add 1` through soft_resolve and apply, a global, and `x.while`
+    src = ('5 > i\n[] > five\n  5 > @\ni.add 1 > fused\nfive.add 1 > resolved\n'
+           'stdout "a" > printed\nTRUE.while 1 > looped\n')
+    program, out, _err = make_program(src)
+    interp = program.interp
+    apps = {name: interp.lookup(name, interp.root) for name in ("fused", "resolved", "printed", "looped")}
+    assert {type(app) for app in apps.values()} == {AtomApp}
+    assert apps["fused"].op is OPS[int]["add"] and apps["resolved"].op is OPS[int]["add"]
+    assert apps["printed"].op is _GLOBALS["stdout"].op and apps["looped"].op is _WHILE
+    assert out.getvalue() == b"" and [interp.run_cached(apps[name]) for name in ("fused", "resolved")] == [6, 6]
 
 
 @pytest.mark.parametrize("name", sorted(ARITY_SITES))
