@@ -128,11 +128,6 @@ def _run_if3(interp, _bound, args):
     return interp.deep_reduce(chosen.force(interp))
 
 
-def while_atom(cond_thunk):
-    """`x.while`, bound to the unevaluated condition `x`."""
-    return AtomFn(_WHILE, cond_thunk)
-
-
 def _run_while(interp, cond_thunk, args):
     body = args[0].force(interp)
     index = 0
@@ -275,11 +270,6 @@ class SnapshotHandle(Forwarder):
         else:
             self.captured = snapshot(target)
         return True
-
-
-def anchor_atom(handle_thunk):
-    """`c.<`: captures the snapshot handle `c` when run."""
-    return AtomApp(_ANCHOR, None, (handle_thunk,))
 
 
 def _run_anchor(interp, _bound, args):
@@ -565,9 +555,9 @@ OPS = {
                            "sub": ("pointer-sub", _run_ptr_shift(-1), 1), "block": ("block", _run_block, 2)},
     heapmod.BlockView: {"write": ("block-write", _run_block_write, 1)},
 }
-# entries of the same shape for `x.while`, `c.<` and two data attributes outside OPS
-_WHILE, _ANCHOR, _AS_STRING, _AS_INT = (("while", _run_while, 1), ("anchor", _run_anchor, None),
-                                        ("as-string", _run_as_string, None), ("as-int", _run_as_int, None))
+# entries of the same shape outside OPS: `x.while` and `c.<`, which evaluate builds, and two data attributes
+WHILE, ANCHOR, _AS_STRING, _AS_INT = (("while", _run_while, 1), ("anchor", _run_anchor, None),
+                                      ("as-string", _run_as_string, None), ("as-int", _run_as_int, None))
 
 
 # -- the global vocabulary -----------------------------------------------------

@@ -45,14 +45,15 @@ into the AtomFn and AtomApp made of it. Every atom application runs in
 run_cached, which alone unpacks the entry and checks the argument count.
 Tracing only writes lines: a traced run takes the same frames and steps.
 Each copy kept for speed states its gain: perfbench steps_per_s with it
-over without it, median of alternating pairs. The step path has no
-comprehension: before Python 3.12 (PEP 709) each one builds a function and
-a frame, so arguments are `tuple(map(Thunk, args, repeat(owner)))` and
-deep_reduce looks for a closure's unbound parameters with a plain loop.
+over without it, median of alternating pairs. There is no comprehension,
+generator expression or closure cell on the step path: each costs a
+function, a frame or a cell per call, so arguments are
+`tuple(map(Thunk, args, repeat(owner)))` and deep_reduce names a
+closure's unbound parameters through `filterfalse`.
 """
 
 import sys
-from itertools import repeat
+from itertools import filterfalse, repeat
 
 from .errors import INT64_MAX, INT64_MIN, BudgetExceeded, EvalFault
 from .syntax import (
@@ -192,19 +193,20 @@ class Closure:
     def copy_with(self, arg_thunks):
         params = self.term.params
         new = {}
-        args = list(arg_thunks)
+        i, n = 0, len(arg_thunks)
         for p in params:
             th = self.attrs.get(p)
             if th is not None:
                 new[p] = th
             elif self.term.variadic and p == params[-1]:
-                new[p] = Thunk.of(atoms.ArrayObject(args))
-                args = []
-            elif args:
-                new[p] = args.pop(0)
+                new[p] = Thunk.of(atoms.ArrayObject(arg_thunks[i:]))
+                i = n
+            elif i < n:
+                new[p] = arg_thunks[i]
+                i += 1
             else:
                 break
-        if args:
+        if i < n:
             raise EvalFault(
                 "too-many-arguments",
                 f"{self.label()} takes {len(params)} argument(s); extra arguments supplied",
@@ -392,7 +394,7 @@ class Interpreter:
             return self.apply(head, tuple(map(Thunk, args, repeat(owner))))
         if t is Dispatch:
             if term.attr == "while":
-                return atoms.while_atom(Thunk(term.recv, owner))
+                return AtomFn(atoms.WHILE, Thunk(term.recv, owner))
             recv = self.evaluate(term.recv, owner)
             found = self.soft_resolve(recv, term.attr)
             if found is _MISS:
@@ -405,7 +407,7 @@ class Interpreter:
         if t is SnapshotRef:
             return atoms.SnapshotHandle(Thunk(term.target, owner))
         if t is Anchor:
-            return atoms.anchor_atom(Thunk(term.recv, owner))
+            return AtomApp(atoms.ANCHOR, None, (Thunk(term.recv, owner),))
 
     def lookup(self, ident, owner):
         if ident in _SPECIAL:
@@ -623,7 +625,7 @@ class Interpreter:
                     )
                 for p in obj.term.params:
                     if p not in obj.attrs:
-                        missing = ", ".join(q for q in obj.term.params if q not in obj.attrs)
+                        missing = ", ".join(filterfalse(obj.attrs.__contains__, obj.term.params))
                         raise EvalFault(
                             "partial-application", f"{obj.label()} dataized with unbound parameter(s): {missing}"
                         )

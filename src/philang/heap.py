@@ -176,8 +176,10 @@ class HeapStore(NativeObject):
     # -- raw access ---------------------------------------------------------
 
     def read(self, addr, length):
-        mem = self.bytes
-        return b"".join([mem[off : off + n] for off, n in self._translate(addr, length)])
+        mem, runs = self.bytes, []
+        for off, n in self._translate(addr, length):
+            runs.append(mem[off : off + n])
+        return b"".join(runs)
 
     def write(self, addr, data):
         mem, pos = self.bytes, 0

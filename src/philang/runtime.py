@@ -121,7 +121,6 @@ class Program:
             sys.setrecursionlimit(limit)
 
 
-
 def run_text(text, **kwargs):
     """Run source text with captured output; the keyword arguments are
     Program's. Returns (stdout_bytes, stderr_bytes, value)."""

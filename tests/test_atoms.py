@@ -1,6 +1,6 @@
 import pytest
 
-from philang.atoms import _GLOBALS, _WHILE, OPS
+from philang.atoms import _GLOBALS, OPS, WHILE
 from philang.core import AtomApp, AtomFn
 from philang.errors import BudgetExceeded, EvalFault
 from philang.runtime import run_text
@@ -745,7 +745,7 @@ def test_every_atom_application_carries_its_table_entry_itself():
     apps = {name: interp.lookup(name, interp.root) for name in ("fused", "resolved", "printed", "looped")}
     assert {type(app) for app in apps.values()} == {AtomApp}
     assert apps["fused"].op is OPS[int]["add"] and apps["resolved"].op is OPS[int]["add"]
-    assert apps["printed"].op is _GLOBALS["stdout"].op and apps["looped"].op is _WHILE
+    assert apps["printed"].op is _GLOBALS["stdout"].op and apps["looped"].op is WHILE
     assert out.getvalue() == b"" and [interp.run_cached(apps[name]) for name in ("fused", "resolved")] == [6, 6]
 
 

@@ -3,10 +3,12 @@ import enum
 import io
 import os
 import pstats
+import types
 
 import pytest
 
 import philang
+from philang import atoms, heap
 from philang.core import _MISS, _SPECIAL, Closure, Interpreter, NativeObject, Thunk, snapshot
 from philang.errors import EvalFault, PhilangError
 from philang.runtime import DEFAULT_MAX_STEPS, Program, run_text
@@ -100,6 +102,29 @@ def test_variadic_single_element():
     src = "[args...] > f\n  args.get 0 > @\nf 42\n"
     _out, value = run_src(src)
     assert value == 42
+
+
+_VARIADIC = "[a xs...] > f\n  {body} > @\n{entry}\n"
+
+
+@pytest.mark.parametrize(
+    "body, entry, want",
+    [
+        ("xs.length", "f 1 2 3", 2),
+        ("xs.length", "f 1", 0),
+        ("xs.length", "(f) 1 2", 1),
+        ("(xs.get 1).add a", "(f) 1 2 40", 41),
+    ],
+)
+def test_a_variadic_copy_gathers_the_arguments_left_after_the_parameters(body, entry, want):
+    _out, value = run_src(_VARIADIC.format(body=body, entry=entry))
+    assert value == want
+
+
+def test_a_variadic_copy_already_bound_takes_no_more_arguments():
+    with pytest.raises(EvalFault) as e:
+        run_src(_VARIADIC.format(body="xs.length", entry="(f 1) 2"))
+    assert str(e.value) == "too-many-arguments: f takes 2 argument(s); extra arguments supplied"
 
 
 def test_dataize_literal():
@@ -364,6 +389,28 @@ def test_every_atom_application_runs_in_run_cached(name):
     assert len(runners) >= 5
     for key, callers in runners.items():
         assert set(callers) == {run_cached}, key
+
+
+# Every function that a step runs through. Before Python 3.12 a comprehension
+# builds a function and a frame on every call, and on every version a
+# generator expression does; a variable that such a nested function reads is
+# a cell, made anew on every call of the function around it.
+_STEP_PATH = [
+    Interpreter.evaluate, Interpreter.lookup, Interpreter.apply, Interpreter.soft_resolve,
+    Interpreter.run_cached, Interpreter.deep_reduce, Interpreter.force_datum, Interpreter._read_datum,
+    Thunk.__init__, Thunk.force, Closure.attr_thunk, Closure.copy_with,
+    atoms._run_seq, atoms._run_if_bool, atoms._run_if3, atoms._run_while, atoms._run_goto,
+    atoms._run_memory_write, atoms._run_eq, atoms.OPS[int]["add"][1],
+    heap.HeapStore.read, heap.HeapStore.write, heap.HeapStore._translate, heap.BlockView.native_dataize,
+    heap.block_write,
+]
+
+
+@pytest.mark.parametrize("fn", _STEP_PATH, ids=lambda fn: fn.__qualname__)
+def test_the_step_path_has_no_closure_cell_and_no_nested_function(fn):
+    code = fn.__code__
+    assert code.co_cellvars == ()
+    assert [c.co_name for c in code.co_consts if isinstance(c, types.CodeType)] == []
 
 
 # -- one attribute map per closure: parameters and bindings share `attrs` -----

@@ -334,6 +334,10 @@ def test_window_fills_a_gap_narrower_than_its_size():
         (97_952, 4096), (102_048, 904), (102_952, 4096)]
     store.write(102_040, bytes(range(16)))
     assert store.read(102_040, 16) == bytes(range(16))
+    data = bytes(i % 251 for i in range(9_096))  # all three windows, end to end
+    store.write(97_952, data)
+    got = store.read(97_952, len(data))
+    assert type(got) is bytes and got == data
 
 
 def test_access_leaving_a_window_for_unmapped_space():
