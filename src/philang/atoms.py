@@ -261,22 +261,18 @@ class SnapshotHandle(Forwarder):
             raise EvalFault("snapshot-unanchored", "snapshot used before its .< anchor")
         return self.captured
 
-    def anchor(self, interp):
-        target = self.target_thunk.force(interp)
-        if isinstance(target, CageSlot):
-            if target.stored is _UNSET:
-                raise EvalFault("cage-empty", "snapshot anchor on an empty cage")
-            self.captured = snapshot(target.stored)
-        else:
-            self.captured = snapshot(target)
-        return True
-
 
 def _run_anchor(interp, _bound, args):
     handle = args[0].force(interp)
     if not isinstance(handle, SnapshotHandle):
         raise EvalFault("bad-anchor", ".< works only on a snapshot handle")
-    return handle.anchor(interp)
+    target = handle.target_thunk.force(interp)
+    if isinstance(target, CageSlot):
+        if target.stored is _UNSET:
+            raise EvalFault("cage-empty", "snapshot anchor on an empty cage")
+        target = target.stored
+    handle.captured = snapshot(target)
+    return True
 
 
 # -- arrays -------------------------------------------------------------------
@@ -316,10 +312,6 @@ def _run_array_make(interp, _bound, args):
 # -- data operations ----------------------------------------------------------
 
 
-def _not_a_number(op, b):
-    return EvalFault("type-error", f"{op} needs a number, got {b!r}")
-
-
 def _div(a, b):
     """a divided by b, an int quotient truncated toward zero when both are ints."""
     if b == 0:
@@ -344,7 +336,7 @@ def _run_arith(op):
     def run(interp, a, args):
         b = interp.force_datum(args[0])
         if type(b) is not int and type(b) is not float:
-            raise _not_a_number(op, b)
+            raise EvalFault("type-error", f"{op} needs a number, got {b!r}")
         r = fn(a, b)
         return r if type(r) is not int or INT64_MIN <= r <= INT64_MAX else _check_int64(r)
 

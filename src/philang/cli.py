@@ -15,7 +15,7 @@ from . import corpus as corpus_mod
 from .errors import EvalFault, PhilangError, SyntaxFault
 from .runtime import DEFAULT_HEAP_SIZE, DEFAULT_MAX_STEPS, Program
 from .atoms import to_text
-from .core import Interpreter, is_datum
+from .core import Closure, Interpreter, NativeObject
 
 
 def _build_argparser():
@@ -61,7 +61,8 @@ def _execute(args):
     )
     value = program.run()
     if args.command == "eval" and value is not None:  # written as the program writes: a failing stdout is a fault
-        Interpreter.emit(program.interp.stdout, (to_text(value) if is_datum(value) else repr(value)) + "\n")
+        text = repr(value) if isinstance(value, (Closure, NativeObject)) else to_text(value)
+        Interpreter.emit(program.interp.stdout, text + "\n")
     return 0
 
 

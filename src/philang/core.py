@@ -37,9 +37,13 @@ would), and when its exact type, or the datum of a written memory cell,
 has op in `atoms.OPS`, it returns the AtomApp the general path would reach
 through soft_resolve and apply. It ticks the steps the general path would,
 in its order, with the budget checked before each is counted (k at once
-only when all k fit). When the table misses or the budget is too short, it
-goes on along the general path from the value in hand, without ticking
-again and without a Python frame more per nesting level. An atom's entry
+only when all k fit). A literal that is the one argument of a datum's op is
+its own thunk (syntax.Literal.force ticks as evaluating it would, and caches
+nothing): each runner a datum binds reads its argument once, first, and
+raises no Signal after it, so no application is re-run after that read.
+When the table misses or the budget is too short, it goes on along the
+general path from the value in hand, without ticking again and without a
+Python frame more per nesting level. An atom's entry
 (label, runner, argument count), its `atoms.OPS` row itself, passes whole
 into the AtomFn and AtomApp made of it. Every atom application runs in
 run_cached, which alone unpacks the entry and checks the argument count.
@@ -64,11 +68,10 @@ from .syntax import (
     Literal,
     Name,
     SnapshotRef,
+    _UNSET,
 )
 
 _MISS = object()
-# what a cached field holds until it is filled: no value a hook hands back
-_UNSET = object()
 _NO_OPS = {}
 
 _DATA_TYPES = (bool, int, float, str, bytes)
@@ -76,10 +79,6 @@ _EXACT_DATA = frozenset(_DATA_TYPES)
 
 # names with a fixed meaning in every scope
 _SPECIAL = frozenset(("@", "^", "&", "Q"))
-
-
-def is_datum(x):
-    return type(x) in _EXACT_DATA
 
 
 def _check_int64(v):
@@ -327,7 +326,7 @@ class Interpreter:
             self.emit(self.stderr, "  " * self.depth + self.describe(obj) + "\n")
 
     def describe(self, obj):
-        if is_datum(obj):
+        if type(obj) in _EXACT_DATA:
             text = repr(obj)
             return text if len(text) <= 40 else text[:37] + "..."
         if isinstance(obj, Closure):
@@ -384,7 +383,10 @@ class Interpreter:
                 if hit is not None and self.steps + k <= self.max_steps:
                     self.steps += k
                     if len(args) == 1:  # 1.07x loop
-                        return AtomApp(hit, bound, (Thunk(args[0], owner),))
+                        arg = args[0]  # a literal on a datum is its own thunk: 1.04x recursion
+                        if type(arg) is not Literal or type(bound) not in _EXACT_DATA:
+                            arg = Thunk(arg, owner)
+                        return AtomApp(hit, bound, (arg,))
                     return AtomApp(hit, bound, tuple(map(Thunk, args, repeat(owner))))
                 found = self.soft_resolve(v, attr)
                 if found is _MISS:
@@ -443,13 +445,10 @@ class Interpreter:
                 where = "^ used where there is" if bare else f"{obj.label()} has"
                 raise EvalFault("no-parent", f"{where} no enclosing object")
             return obj.lexical
-        if bare:
-            return self._lookup_decoratee(obj)
-        th = obj.attr_thunk("@", self)
-        return _MISS if th is None else th.force(self)
-
-    def _lookup_decoratee(self, owner):
-        node = owner
+        if not bare:
+            th = obj.attr_thunk("@", self)
+            return _MISS if th is None else th.force(self)
+        node = obj
         while node is not None:
             th = node.attr_thunk("@", self)
             if th is not None and not th.forcing:
@@ -589,7 +588,7 @@ class Interpreter:
             if frame.f_code is Thunk.force.__code__ and getattr(th := frame.f_locals.get("self"), "owner", None) is not None:
                 place, term = self.describe(th.owner), th.term
             elif frame.f_code is Interpreter.run_cached.__code__ and (app := frame.f_locals.get("app")) is not None:
-                place, term = app.op[0], getattr(app.args[0], "term", None) if app.args else None
+                place, term = app.op[0], getattr(app.args[0], "term", app.args[0]) if app.args else None
             else:
                 continue
             span = getattr(term, "span", None)
@@ -660,7 +659,7 @@ class Interpreter:
         program's result, an abstract closure or a native object with no
         datum is an outcome too; without it, it is a missing-decoratee
         fault."""
-        if abstract and self.trace and is_datum(obj):
+        if abstract and self.trace and type(obj) in _EXACT_DATA:
             self.trace_step(obj)
         r = self.deep_reduce(obj)
         return r if type(r) in _EXACT_DATA else self._read_datum(r, abstract)
@@ -670,7 +669,7 @@ class Interpreter:
         hands back the same object again while it is read faults, as in pass_on."""
         if isinstance(r, NativeObject):
             probe = r.native_dataize(self)
-            if is_datum(probe):
+            if type(probe) in _EXACT_DATA:
                 return _check_int64(probe)
             if probe is not _MISS:  # a key with no name is never one of pass_on's
                 return self._guarded((id(r), id(probe)), r, self.dataize, probe, abstract)

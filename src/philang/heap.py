@@ -65,10 +65,8 @@ class HeapStore(NativeObject):
     label = "heap"
 
     def __init__(self, capacity):
-        if not isinstance(capacity, int) or capacity > MAX_CAPACITY:
-            raise EvalFault("heap-config", f"heap capacity must be an int of at most {MAX_CAPACITY} bytes, got {capacity!r}")
-        if capacity < 16:
-            raise EvalFault("heap-config", "heap capacity must be at least 16 bytes")
+        if type(capacity) is not int or not 16 <= capacity <= MAX_CAPACITY:
+            raise EvalFault("heap-config", f"heap capacity must be an int from 16 to {MAX_CAPACITY} bytes, got {capacity!r}")
         self.capacity = capacity
         self.bytes = bytearray()  # covers every claimed run, see _claim
         self.allocations = []  # every block ever allocated, freed ones included

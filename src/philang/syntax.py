@@ -5,6 +5,9 @@ objects can be traced back to the file they came from. The terms of one
 line share a span, so no span is written once made.
 """
 
+# what a cached field holds until it is filled: no value a hook hands back
+_UNSET = object()
+
 
 class SourceSpan:
     __slots__ = ("file", "first", "last")
@@ -26,13 +29,20 @@ class Term:
 
 
 class Literal(Term):
-    """Data literal: int, float, str, bool or bytes."""
+    """Data literal: int, float, str, bool or bytes. It is its own thunk as
+    the one argument of a datum's op (see core), as far as force_datum reads
+    one: `obj` is never filled, and `force` ticks as evaluating it would."""
 
     __slots__ = ("value",)
+    obj = _UNSET
 
     def __init__(self, value, span=None):
         self.span = span
         self.value = value
+
+    def force(self, interp):
+        interp.tick()
+        return self.value
 
 
 class Name(Term):

@@ -12,11 +12,11 @@ from philang import atoms, heap
 from philang.core import _MISS, _SPECIAL, Closure, Interpreter, NativeObject, Thunk, snapshot
 from philang.errors import EvalFault, PhilangError
 from philang.runtime import DEFAULT_MAX_STEPS, Program, run_text
-from philang.syntax import Application
+from philang.syntax import Application, Literal
 
 from conftest import fault_kind, make_program, resolve, run_src
 from test_perfbench_smoke import workloads
-from test_step_parity import GUARD_MISSES, STRESS
+from test_step_parity import GUARD_MISSES, RERUN_AFTER_SIGNAL, STRESS
 
 
 def test_resolve_through_decoratee():
@@ -398,7 +398,7 @@ def test_every_atom_application_runs_in_run_cached(name):
 _STEP_PATH = [
     Interpreter.evaluate, Interpreter.lookup, Interpreter.apply, Interpreter.soft_resolve,
     Interpreter.run_cached, Interpreter.deep_reduce, Interpreter.force_datum, Interpreter._read_datum,
-    Thunk.__init__, Thunk.force, Closure.attr_thunk, Closure.copy_with,
+    Thunk.__init__, Thunk.force, Literal.force, Closure.attr_thunk, Closure.copy_with,
     atoms._run_seq, atoms._run_if_bool, atoms._run_if3, atoms._run_while, atoms._run_goto,
     atoms._run_memory_write, atoms._run_eq, atoms.OPS[int]["add"][1],
     heap.HeapStore.read, heap.HeapStore.write, heap.HeapStore._translate, heap.BlockView.native_dataize,
@@ -411,6 +411,39 @@ def test_the_step_path_has_no_closure_cell_and_no_nested_function(fn):
     code = fn.__code__
     assert code.co_cellvars == ()
     assert [c.co_name for c in code.co_consts if isinstance(c, types.CodeType)] == []
+
+
+# A one-argument op on a datum takes its literal argument as its own thunk;
+# a native receiver, a name argument or two arguments still get thunks.
+_LITERAL_ARGS = """\
+memory > i
+i.write 5 > written
+i.add 1 > fused
+i.add j > named
+7 > j
+memory > m
+m.write 1 > native
+heap.pointer 0 8 > two
+[n] > f
+  n.sub 1 > @
+f 3 > g
+"""
+
+
+def test_a_literal_argument_of_an_op_on_a_datum_is_the_literal_itself():
+    program, _out, _err = make_program(_LITERAL_ARGS)
+    interp = program.interp
+    root = interp.root
+    interp.run_cached(interp.lookup("written", root))
+    apps = {name: interp.lookup(name, root) for name in ("fused", "named", "native", "two")}
+    apps["sub"] = resolve(interp, interp.lookup("g", root), "@")
+    terms = {name: root.term.binding(name) for name in ("fused", "native", "two")}
+    assert apps["fused"].args[0] is terms["fused"].args[0]
+    assert apps["sub"].args[0] is interp.lookup("f", root).term.binding("@").args[0]
+    assert type(apps["sub"].args[0]) is Literal and type(apps["sub"].bound) is int
+    assert [type(a) for a in apps["named"].args + apps["native"].args + apps["two"].args] == [Thunk] * 4
+    assert [a.term for a in apps["native"].args + apps["two"].args] == terms["native"].args + terms["two"].args
+    assert [interp.run_cached(apps[name]) for name in ("fused", "named", "sub")] == [6, 12, 2]
 
 
 # -- one attribute map per closure: parameters and bindings share `attrs` -----
@@ -523,18 +556,19 @@ def _twin_outcome(text, file, budget, plain):
 
 def _twin_cases():
     """(id, text, file, default budget): every corpus entry and each
-    workload's small op, the STRESS and GUARD_MISSES programs and the
-    bare-name record."""
+    workload's small op, the STRESS, GUARD_MISSES and RERUN_AFTER_SIGNAL
+    programs and the bare-name record."""
     ops = [op for _make, small in workloads.WORKLOADS.values() for op in small(philang)]
     cases = [(op.id, op.text, op.file, op.max_steps) for op in ops]
     cases += [(name, text, name + ".phi", DEFAULT_MAX_STEPS) for name, (text, _s, _v) in sorted(STRESS.items())]
     cases += [(name, text, name + ".phi", DEFAULT_MAX_STEPS) for name, (text, _o, _s) in sorted(GUARD_MISSES.items())]
+    cases += [(name, text, name + ".phi", 1000) for name, (text, *_rest) in sorted(RERUN_AFTER_SIGNAL.items())]
     return cases + [("record-by-name", _RECORD_BY_NAME, "record.phi", DEFAULT_MAX_STEPS)]
 
 
 def test_interpreter_agrees_with_the_general_path_at_every_budget():
     cases = _twin_cases()
-    assert len(cases) >= 27 + 3 + 3 + len(GUARD_MISSES) + 1
+    assert len(cases) >= 27 + 3 + 3 + len(GUARD_MISSES) + len(RERUN_AFTER_SIGNAL) + 1
     for case_id, text, file, default in cases:
         for budget in [default, *range(1, 41)]:
             fast = _twin_outcome(text, file, budget, plain=False)

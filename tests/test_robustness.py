@@ -188,15 +188,17 @@ def test_empty_formation_is_a_value():
 def test_heap_config_minimum():
     with pytest.raises(EvalFault) as e:
         run_src("42\n", heap_size=8)
-    assert fault_kind(e) == "heap-config"
+    assert str(e.value) == f"heap-config: heap capacity must be an int from 16 to {MAX_CAPACITY} bytes, got 8"
 
 
-@pytest.mark.parametrize("size", [1 << 63, 1 << 70, "x", 64.0])
+@pytest.mark.parametrize("size", [1 << 63, 1 << 70, "x", 64.0, True, False])
 def test_heap_size_above_the_ceiling_or_not_an_int_is_a_config_fault(size):
-    # rejected before the first claim would try to allocate the buffer
+    # rejected before the first claim would try to allocate the buffer; a
+    # bool is not an int here, as for the step budget
     with pytest.raises(EvalFault) as e:
         run_src("[] > main\n  heap.malloc 8 > @\n", heap_size=size)
     assert fault_kind(e) == "heap-config"
+    assert str(e.value) == f"heap-config: heap capacity must be an int from 16 to {MAX_CAPACITY} bytes, got {size!r}"
 
 
 def test_heap_size_at_the_ceiling_allocates_nothing_until_claimed():

@@ -583,6 +583,15 @@ RERUN_AFTER_SIGNAL = {
                    "            x\n        [e]\n          e > @\n        TRUE",
             again="x"),
         ("value", 7), 110, b"xboom"),
+    # `.get 0` on an array is re-run after the jump, so its literal index is
+    # read twice: a literal passed as its own thunk, not cached, would count
+    # its step twice (112); only a datum's one-argument op takes the literal
+    "array-get": (
+        RERUN.format(
+            x="(array (if m (c.forward 5) 7)).get 0 > x",
+            escape="goto\n      [g]\n        seq > @\n          c.write g\n          1.add x",
+            again="1.add x"),
+        ("value", 8), 111, b""),
 }
 
 
