@@ -21,8 +21,8 @@ identity; goto/try scopes absorb exactly their own token.
 Step accounting is the semantic clock: the step budget decides where a
 divergent program stops, so every evaluate, resolve, apply, reduction and
 atom run counts one step, in a fixed order. The hot dispatch is
-specialized for speed without moving a step: evaluate, apply and
-deep_reduce branch on the exact type of their subject, common cases
+specialized for speed without moving a step: evaluate, apply, deep_reduce
+and force_datum branch on the exact type of their subject, common cases
 first, and count their step inline instead of calling tick(). Every read
 of a closure's attribute gets its thunk from Closure.attr_thunk; lookup
 reads one already made in Closure.attrs itself. Paths that programs
@@ -38,9 +38,9 @@ has op in `atoms.OPS`, it returns the AtomApp the general path would reach
 through soft_resolve and apply. It ticks the steps the general path would,
 in its order, with the budget checked before each is counted (k at once
 only when all k fit). A literal that is the one argument of a datum's op is
-its own thunk (syntax.Literal.force ticks as evaluating it would, and caches
-nothing): each runner a datum binds reads its argument once, first, and
-raises no Signal after it, so no application is re-run after that read.
+its own thunk, which only force_datum reads: each runner a datum binds
+reads its argument once, first, and raises no Signal after it, so no
+application is re-run after that read.
 When the table misses or the budget is too short, it goes on along the
 general path from the value in hand, without ticking again and without a
 Python frame more per nesting level. An atom's entry
@@ -68,10 +68,11 @@ from .syntax import (
     Literal,
     Name,
     SnapshotRef,
-    _UNSET,
 )
 
 _MISS = object()
+# what a cached field holds until it is filled: no value a hook hands back
+_UNSET = object()
 _NO_OPS = {}
 
 _DATA_TYPES = (bool, int, float, str, bytes)
@@ -646,10 +647,18 @@ class Interpreter:
             return _plain_datum(obj, "reduce")
 
     def force_datum(self, th):
-        """`self.dataize(th.force(self))` without dataize's frame."""
+        """`self.dataize(th.force(self))` without dataize's frame, nor deep_reduce's for a datum."""
+        if type(th) is Literal:  # its own thunk
+            if self.steps + 2 <= self.max_steps:  # evaluate's tick and deep_reduce's here: 1.07x recursion
+                self.steps += 2
+                return th.value
+            th = Thunk(th, None)  # when both do not fit, the general path ticks and faults
         obj = th.obj
         if obj is _UNSET:
             obj = th.force(self)
+        if type(obj) in _EXACT_DATA and self.steps < self.max_steps:  # deep_reduce's tick here: 1.04x loop
+            self.steps += 1
+            return obj
         r = self.deep_reduce(obj)
         return r if type(r) in _EXACT_DATA else self._read_datum(r, False)
 

@@ -107,7 +107,7 @@ class HeapStore(NativeObject):
         return base
 
     def malloc(self, size):
-        if not isinstance(size, int) or size <= 0:
+        if type(size) is not int or size <= 0:
             raise EvalFault("bad-malloc", f"malloc needs a positive byte count, got {size!r}")
         alloc = Allocation(None, size)
         alloc.base = self._claim(size, alloc)

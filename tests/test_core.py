@@ -398,7 +398,7 @@ def test_every_atom_application_runs_in_run_cached(name):
 _STEP_PATH = [
     Interpreter.evaluate, Interpreter.lookup, Interpreter.apply, Interpreter.soft_resolve,
     Interpreter.run_cached, Interpreter.deep_reduce, Interpreter.force_datum, Interpreter._read_datum,
-    Thunk.__init__, Thunk.force, Literal.force, Closure.attr_thunk, Closure.copy_with,
+    Thunk.__init__, Thunk.force, Closure.attr_thunk, Closure.copy_with,
     atoms._run_seq, atoms._run_if_bool, atoms._run_if3, atoms._run_while, atoms._run_goto,
     atoms._run_memory_write, atoms._run_eq, atoms.OPS[int]["add"][1],
     heap.HeapStore.read, heap.HeapStore.write, heap.HeapStore._translate, heap.BlockView.native_dataize,
@@ -520,7 +520,8 @@ class PlainInterpreter(Interpreter):
     an application and applies it; every other term, a dispatch's receiver
     and soft_resolve included, takes Interpreter's own branch, which the
     fused `recv.op args` frame sits in front of. `lookup` reads each scope
-    through attr_thunk then Thunk.force, and the vocabulary last."""
+    through attr_thunk then Thunk.force, and the vocabulary last;
+    `force_datum` forces its thunk, then dataizes what that gives."""
 
     def evaluate(self, term, owner):
         if type(term) is not Application:
@@ -542,6 +543,35 @@ class PlainInterpreter(Interpreter):
             return made
         raise EvalFault("unknown-name", f"nothing named {ident!r} is in scope")
 
+    def force_datum(self, th):
+        return self.dataize(th.force(self))
+
+
+# data ops on literal operands, whose arguments force_datum reads as literals,
+# and a `while` body that reads its index, a thunk of a datum, as an argument
+_LITERAL_CHAIN = """\
+[] > main
+  if. > @
+    ((7.sub 1).mul 3).less 20
+    "philang".starts "phi"
+    (1.5.add 2).eq 3.5
+"""
+_INDEX_SUM = """\
+[] > main
+  memory > i
+  memory > acc
+  seq > @
+    i.write 0
+    acc.write 0
+    while.
+      i.less 5
+      [k]
+        seq > @
+          acc.write (acc.add k)
+          i.write (i.add 1)
+    acc
+"""
+
 
 def _twin_outcome(text, file, budget, plain):
     program = Program(text, file=file, max_steps=budget, stdout=io.BytesIO(), stderr=io.BytesIO())
@@ -557,18 +587,20 @@ def _twin_outcome(text, file, budget, plain):
 def _twin_cases():
     """(id, text, file, default budget): every corpus entry and each
     workload's small op, the STRESS, GUARD_MISSES and RERUN_AFTER_SIGNAL
-    programs and the bare-name record."""
+    programs, the bare-name record and the two data-argument programs."""
     ops = [op for _make, small in workloads.WORKLOADS.values() for op in small(philang)]
     cases = [(op.id, op.text, op.file, op.max_steps) for op in ops]
     cases += [(name, text, name + ".phi", DEFAULT_MAX_STEPS) for name, (text, _s, _v) in sorted(STRESS.items())]
     cases += [(name, text, name + ".phi", DEFAULT_MAX_STEPS) for name, (text, _o, _s) in sorted(GUARD_MISSES.items())]
     cases += [(name, text, name + ".phi", 1000) for name, (text, *_rest) in sorted(RERUN_AFTER_SIGNAL.items())]
-    return cases + [("record-by-name", _RECORD_BY_NAME, "record.phi", DEFAULT_MAX_STEPS)]
+    return cases + [("record-by-name", _RECORD_BY_NAME, "record.phi", DEFAULT_MAX_STEPS),
+                    ("literal-chain", _LITERAL_CHAIN, "chain.phi", DEFAULT_MAX_STEPS),
+                    ("index-sum", _INDEX_SUM, "index.phi", DEFAULT_MAX_STEPS)]
 
 
 def test_interpreter_agrees_with_the_general_path_at_every_budget():
     cases = _twin_cases()
-    assert len(cases) >= 27 + 3 + 3 + len(GUARD_MISSES) + len(RERUN_AFTER_SIGNAL) + 1
+    assert len(cases) >= 27 + 3 + 3 + len(GUARD_MISSES) + len(RERUN_AFTER_SIGNAL) + 3
     for case_id, text, file, default in cases:
         for budget in [default, *range(1, 41)]:
             fast = _twin_outcome(text, file, budget, plain=False)

@@ -54,6 +54,16 @@ def test_malloc_non_positive():
         store.malloc(-4)
 
 
+@pytest.mark.parametrize("size", [True, False, 8.0])
+def test_malloc_takes_an_exact_int_only(size):
+    # a bool is an int subclass: True would claim a one-byte run of size True
+    store = HeapStore(64)
+    with pytest.raises(EvalFault) as e:
+        store.malloc(size)
+    assert e.value.kind == "bad-malloc"
+    assert store.allocations == []
+
+
 def test_free_then_ok_double_free_error():
     store = HeapStore(64)
     alloc = store.malloc(8)

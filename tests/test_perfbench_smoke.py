@@ -10,14 +10,16 @@ import importlib.util
 import io
 import os
 import pstats
+import sys
 
 import pytest
 
 import philang
 import philang.corpus
 from philang import atoms, parser
-from philang.core import Interpreter
+from philang.core import AtomApp, Closure, Interpreter, Thunk
 from philang.heap import HeapStore
+from philang.syntax import Literal
 
 from test_step_parity import STRESS
 
@@ -107,6 +109,35 @@ def test_recursion_dispatches_data_in_the_fused_frame():
     calls = _stress_calls("recursion-20")
     assert calls(atoms.data_attr, None, "atoms.py") <= 1
     assert calls(Interpreter.soft_resolve, "Interpreter", "core.py") <= 1
+
+
+def test_recursion_reads_data_arguments_in_force_datum():
+    # a literal argument (the 1 in `n.sub 1`) and a thunk that gives a datum
+    # are read in force_datum's own frame, with no frame below it; only an
+    # unforced thunk is forced, and only an object is reduced
+    text, steps, value = STRESS["recursion-20"]
+    program = philang.Program(text, stdout=io.BytesIO(), stderr=io.BytesIO())
+    force_datum = Interpreter.force_datum.__code__
+    literals, callees = [], []
+
+    def watch(frame, event, _arg):
+        if event != "call":
+            return
+        if frame.f_code is force_datum:
+            literals.append(type(frame.f_locals["th"]) is Literal)
+        elif frame.f_back is not None and frame.f_back.f_code is force_datum:
+            callees.append((frame.f_code, type(frame.f_locals.get("obj"))))
+
+    sys.setprofile(watch)
+    try:
+        assert program.run() == value
+    finally:
+        sys.setprofile(None)
+    assert program.interp.steps == steps
+    assert sum(literals) > 20
+    reduce_code = Interpreter.deep_reduce.__code__
+    assert {code for code, _kind in callees} == {Thunk.force.__code__, reduce_code}
+    assert {kind for code, kind in callees if code is reduce_code} == {AtomApp, Closure}
 
 
 def test_heap_dispatches_native_ops_in_the_fused_frame():
